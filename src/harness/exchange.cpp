@@ -198,19 +198,25 @@ std::uint64_t cache_key(std::uint64_t pattern_key, mpix::Method method,
 std::shared_ptr<const mpix::PlanBase> PlanCache::find_base(std::uint64_t key,
                                                            int rank) {
   util::MutexLock lk(mu_);
-  auto* entry = plans_.find({key, rank});
-  if (!entry) {
+  const auto* slots = plans_.find(key);
+  const auto r = static_cast<std::size_t>(rank);
+  if (!slots || r >= slots->size() || !(*slots)[r]) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  return *entry;
+  return (*slots)[r];
 }
 
 void PlanCache::put(std::uint64_t key, int rank,
                     std::shared_ptr<const mpix::PlanBase> plan) {
+  if (!plan) return;
   util::MutexLock lk(mu_);
-  if (plan) plans_[{key, rank}] = std::move(plan);
+  auto& slots = plans_[key];
+  const auto r = static_cast<std::size_t>(rank);
+  if (r >= slots.size()) slots.resize(r + 1);
+  if (!slots[r]) ++stored_;
+  slots[r] = std::move(plan);
 }
 
 std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {

@@ -25,6 +25,7 @@
 #include <memory>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "mpix/neighbor.hpp"
 #include "sparse/par_csr.hpp"
@@ -99,9 +100,9 @@ inline const char* to_string(Protocol p) {
 /// Thread-safe: the engine resumes rank coroutines on a worker pool, so
 /// concurrent find/put from ranks of one phase are expected.  Entries are
 /// keyed per rank, hence hit/miss totals stay deterministic regardless of
-/// the interleaving.  Storage is a sorted-vector map (util::FlatMap):
-/// lookups during setup-heavy sweeps stay cache-friendly, and inserts
-/// happen only on the cold first exchange of a pattern.
+/// the interleaving.  Storage is a sorted-vector map (util::FlatMap) with
+/// one entry per key, holding a rank-indexed slot vector: the map grows
+/// once per pattern, and each rank's put is an O(1) slot store.
 class PlanCache {
  public:
   /// Cached plan of `rank` under `key`, or null.  Counts a hit or a miss.
@@ -126,20 +127,23 @@ class PlanCache {
     util::MutexLock lk(mu_);
     return misses_;
   }
+  /// Number of stored (key, rank) plans.
   std::size_t size() const {
     util::MutexLock lk(mu_);
-    return plans_.size();
+    return stored_;
   }
   void clear() {
     util::MutexLock lk(mu_);
     plans_.clear();
+    stored_ = 0;
   }
 
  private:
   mutable util::Mutex mu_;
-  util::FlatMap<std::pair<std::uint64_t, int>,
-                std::shared_ptr<const mpix::PlanBase>>
+  util::FlatMap<std::uint64_t,
+                std::vector<std::shared_ptr<const mpix::PlanBase>>>
       plans_ GUARDED_BY(mu_);
+  std::size_t stored_ GUARDED_BY(mu_) = 0;
   long hits_ GUARDED_BY(mu_) = 0;
   long misses_ GUARDED_BY(mu_) = 0;
 };

@@ -88,20 +88,32 @@ std::size_t bucket_bytes(int b) {
   return (2 * kLinearMax) << (b - kLinearBuckets);
 }
 
-/// Free blocks are chained through their first pointer-sized bytes.
+/// Free blocks are chained through their first pointer-sized bytes.  The
+/// head block of a batch parked in the reservoir also carries the link to
+/// the next parked batch and the batch length (every bucket is >= 64 bytes,
+/// so the three words always fit).
 struct FreeNode {
   FreeNode* next;
+  FreeNode* next_batch;  ///< batch heads only: next batch in the reservoir
+  int len;               ///< batch heads only: blocks in this batch
 };
+static_assert(sizeof(FreeNode) <= kStep);
+
+/// Blocks per reservoir transfer.  A cache holds fewer than 2 * kBatch
+/// blocks per bucket; a miss refills at most kBatch.
+constexpr int kBatch = 32;
 
 std::atomic<std::uint64_t> g_mallocs{0};
 std::atomic<std::uint64_t> g_reuses{0};
 
-/// Process-wide overflow lists.  Leaked intentionally (function-local
-/// static pointer): per-thread caches drain here from thread-exit
-/// destructors, which may run arbitrarily late.
+/// Process-wide overflow: per bucket, an intrusive stack of batches (each a
+/// null-terminated list of at most kBatch blocks).  Every transfer moves
+/// whole batches, so the lock is held for O(1) work.  Leaked intentionally
+/// (function-local static pointer): per-thread caches drain here from
+/// thread-exit destructors, which may run arbitrarily late.
 struct Reservoir {
   Mutex mu;
-  FreeNode* head[kNumBuckets] GUARDED_BY(mu) = {};
+  FreeNode* batches[kNumBuckets] GUARDED_BY(mu) = {};
 };
 
 Reservoir& reservoir() {
@@ -111,71 +123,89 @@ Reservoir& reservoir() {
   return *r;
 }
 
+/// Push the batches `first`..`last` (chained through next_batch) onto
+/// bucket `b`'s stack.
+void park(int b, FreeNode* first, FreeNode* last) {
+  Reservoir& r = reservoir();
+  MutexLock lk(r.mu);
+  last->next_batch = r.batches[b];
+  r.batches[b] = first;
+}
+
+/// Pop one batch of bucket `b`, or null when none is parked.
+FreeNode* take(int b) {
+  Reservoir& r = reservoir();
+  MutexLock lk(r.mu);
+  FreeNode* batch = r.batches[b];
+  if (batch) r.batches[b] = batch->next_batch;
+  return batch;
+}
+
 /// Per-thread cache.  Hot path is a push/pop on a singly-linked list; the
-/// reservoir is touched only on a miss, on overflow past kCacheCap (half
-/// the list is flushed), and at thread exit (everything is drained, so
-/// blocks survive the per-run worker threads of the engine's pool).
+/// reservoir is touched only on a miss (one batch comes in), when a list
+/// reaches 2 * kBatch (its kBatch oldest blocks go out as one batch), and
+/// at thread exit (everything goes out in batches of at most kBatch, so
+/// blocks survive the per-run worker threads of the engine's pool and a
+/// later miss never inherits a whole dead thread's cache).
 struct ThreadCache {
-  static constexpr int kCacheCap = 64;
   FreeNode* head[kNumBuckets] = {};
   int count[kNumBuckets] = {};
+  /// The block at depth kBatch + 1 from the bottom of the list, valid
+  /// while count > kBatch: the list is LIFO, so the block pushed when the
+  /// count reached kBatch + 1 stays there until the count drops back.
+  /// Everything below it is exactly kBatch blocks, the coldest ones.
+  FreeNode* mark[kNumBuckets] = {};
 
   ~ThreadCache() {
-    Reservoir& r = reservoir();
-    MutexLock lk(r.mu);
     for (int b = 0; b < kNumBuckets; ++b) {
+      FreeNode* first = nullptr;
+      FreeNode* last = nullptr;
       while (head[b]) {
-        FreeNode* n = head[b];
-        head[b] = n->next;
-        n->next = r.head[b];
-        r.head[b] = n;
+        FreeNode* batch = head[b];
+        FreeNode* tail = batch;
+        int len = 1;
+        for (; len < kBatch && tail->next; ++len) tail = tail->next;
+        head[b] = tail->next;
+        tail->next = nullptr;
+        batch->len = len;
+        if (last)
+          last->next_batch = batch;
+        else
+          first = batch;
+        last = batch;
       }
+      if (first) park(b, first, last);
     }
   }
 
   void* pop(int b) {
-    if (head[b]) {
-      FreeNode* n = head[b];
-      head[b] = n->next;
-      --count[b];
-      return n;
+    if (!head[b]) {
+      FreeNode* batch = take(b);
+      if (!batch) return nullptr;
+      head[b] = batch;
+      count[b] = batch->len;
     }
-    // Miss: refill from the reservoir (grab the whole list — blocks drift
-    // between threads, the cap below bounds any one cache).
-    Reservoir& r = reservoir();
-    {
-      MutexLock lk(r.mu);
-      head[b] = r.head[b];
-      r.head[b] = nullptr;
-    }
-    int got = 0;
-    for (FreeNode* n = head[b]; n; n = n->next) ++got;
-    count[b] = got;
-    if (head[b]) {
-      FreeNode* n = head[b];
-      head[b] = n->next;
-      --count[b];
-      return n;
-    }
-    return nullptr;
+    FreeNode* n = head[b];
+    head[b] = n->next;
+    --count[b];
+    return n;
   }
 
   void push(int b, void* p) {
     FreeNode* n = static_cast<FreeNode*>(p);
     n->next = head[b];
     head[b] = n;
-    if (++count[b] > kCacheCap) {
-      // Flush half to the reservoir so blocks freed here are visible to
-      // allocating threads without waiting for thread exit.
-      Reservoir& r = reservoir();
-      MutexLock lk(r.mu);
-      for (int i = 0; i < kCacheCap / 2; ++i) {
-        FreeNode* f = head[b];
-        head[b] = f->next;
-        f->next = r.head[b];
-        r.head[b] = f;
-        --count[b];
-      }
+    if (++count[b] == kBatch + 1) {
+      mark[b] = n;
+    } else if (count[b] == 2 * kBatch) {
+      // Park the kBatch blocks under the mark so freed blocks become
+      // visible to allocating threads without waiting for thread exit;
+      // the recently freed (cache-warm) ones stay here.
+      FreeNode* batch = mark[b]->next;
+      mark[b]->next = nullptr;
+      batch->len = kBatch;
+      count[b] = kBatch;
+      park(b, batch, batch);
     }
   }
 };

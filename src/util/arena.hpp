@@ -24,6 +24,11 @@
 ///    overflow into — and refill from — a process-wide reservoir, so
 ///    blocks survive thread exit and repeated `Engine::run()` / solve
 ///    iterations stop hitting malloc once the first run warmed the pool.
+///    Blocks cross between a cache and the reservoir in fixed-size
+///    batches, O(1) under the lock: a miss takes one batch, a full cache
+///    parks one, and an exiting thread parks its cache batch by batch —
+///    so the next run's worker threads share a dead run's blocks instead
+///    of one of them inheriting all of them.
 ///
 /// Threading contract: one thread bumps an `Arena` at a time (the engine
 /// gives each simulated rank its own), while `release()` may be called

@@ -148,6 +148,31 @@ TEST(FramePool, BlocksSurviveThreadExit) {
   util::frame_free(p, kSize);
 }
 
+TEST(FramePool, MissTakesOneBatchNotAThreadsWholeCache) {
+  // A dying thread's ~1000 freed blocks must not all land in the cache of
+  // whichever thread misses next: a refill takes one batch, so another
+  // live thread still finds blocks to reuse.
+  constexpr std::size_t kSize = 900;  // bucket used by no other test here
+  constexpr int kBlocks = 1000;
+  std::thread hoarder([] {
+    std::vector<void*> blocks;
+    for (int i = 0; i < kBlocks; ++i)
+      blocks.push_back(util::frame_alloc(kSize));
+    for (void* p : blocks) util::frame_free(p, kSize);
+  });
+  hoarder.join();
+
+  void* mine = util::frame_alloc(kSize);
+  const auto mallocs = util::frame_pool_mallocs();
+  void* theirs = nullptr;
+  std::thread other([&] { theirs = util::frame_alloc(kSize); });
+  other.join();
+  EXPECT_EQ(util::frame_pool_mallocs(), mallocs)
+      << "the first miss took every parked block";
+  std::thread([&] { util::frame_free(theirs, kSize); }).join();
+  util::frame_free(mine, kSize);
+}
+
 TEST(FramePool, OversizedFallsBackToPlainNew) {
   void* p = util::frame_alloc(1 << 20);
   ASSERT_NE(p, nullptr);

@@ -271,8 +271,10 @@ TEST(HierarchyCacheConcurrency, EvictionSkipsTempFiles) {
 // hand them through a mutex-guarded queue, and consumers free them — so
 // blocks migrate between per-thread caches through the process-wide
 // reservoir, exactly like coroutine frames surviving the engine's per-run
-// worker threads.  The pool must reuse blocks (that is its contract) and
-// TSan must see clean handoffs.
+// worker threads.  Each producer slot runs its share in several short-lived
+// threads, so thread-exit drains park batches while the other slots' live
+// threads take batches on their misses.  The pool must reuse blocks (that
+// is its contract) and TSan must see clean handoffs.
 TEST(FramePoolConcurrency, CrossThreadChurnReusesBlocks) {
   struct Block {
     void* p;
@@ -282,6 +284,7 @@ TEST(FramePoolConcurrency, CrossThreadChurnReusesBlocks) {
   std::deque<Block> queue;
   std::atomic<bool> done{false};
   constexpr int kBlocks = 2000;
+  constexpr int kGenerations = 4;  // producer threads per slot, in sequence
   const std::size_t sizes[] = {64, 192, 448, 1024, 4096, 32 * 1024};
 
   const std::uint64_t reuses_before = util::frame_pool_reuses();
@@ -307,8 +310,8 @@ TEST(FramePoolConcurrency, CrossThreadChurnReusesBlocks) {
     }
   });
 
-  run_threads(3, [&](int t) {
-    for (int i = 0; i < kBlocks; ++i) {
+  auto produce = [&](int t, int begin, int end) {
+    for (int i = begin; i < end; ++i) {
       const std::size_t n = sizes[(i + t) % std::size(sizes)];
       void* p = util::frame_alloc(n);
       ASSERT_NE(p, nullptr);
@@ -320,6 +323,11 @@ TEST(FramePoolConcurrency, CrossThreadChurnReusesBlocks) {
         util::frame_free(p, n);  // same-thread fast path interleaved
       }
     }
+  };
+  run_threads(3, [&](int t) {
+    constexpr int kShare = kBlocks / kGenerations;
+    for (int g = 0; g < kGenerations; ++g)
+      std::thread(produce, t, g * kShare, (g + 1) * kShare).join();
   });
   done.store(true, std::memory_order_release);
   consumer.join();

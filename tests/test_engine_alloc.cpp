@@ -228,6 +228,31 @@ TEST(EngineAlloc, FaultedSteadyStateAllocationFree) {
   EXPECT_GT(retransmits, 0u);
 }
 
+/// Every `Engine::run` builds a fresh worker pool whose threads exit at the
+/// end of the run, so the frame pool must hand the dead workers' blocks to
+/// the next run's workers.  If one thread's first miss took all of them,
+/// the other workers would malloc fresh frames on every run.  A width-4
+/// engine over 512 ranks repeats a collective-heavy program (world
+/// barriers, a region split, a region barrier); after the first run has
+/// sized the pool, the next seven runs together must allocate fewer frames
+/// than one per rank.
+TEST(EngineAlloc, FramePoolSteadyAcrossRuns) {
+  Engine eng(Machine({.num_nodes = 16, .regions_per_node = 2,
+                      .ranks_per_region = 16}),
+             CostParams::lassen(), Engine::Options{.threads = 4});
+  ASSERT_EQ(eng.machine().num_ranks(), 512);
+  auto program = [](Context& ctx) -> Task<> {
+    for (int i = 0; i < 4; ++i) co_await coll::barrier(ctx, ctx.world());
+    Comm region = co_await coll::split_by_region(ctx, ctx.world());
+    co_await coll::barrier(ctx, region);
+  };
+  eng.run(program);
+  const std::uint64_t warm = util::frame_pool_mallocs();
+  for (int run = 1; run < 8; ++run) eng.run(program);
+  const std::uint64_t mallocs = util::frame_pool_mallocs() - warm;
+  EXPECT_LT(mallocs, 512u) << "frame pool refilled from malloc across runs";
+}
+
 TEST(EngineAlloc, ZeroByteMessagesNeverTouchTheArena) {
   Engine eng(test_machine(), CostParams::lassen(), Engine::Options{.threads = 1});
   eng.run([](Context& ctx) -> Task<> {

@@ -51,6 +51,29 @@ TEST(PlanCache, CountsHitsAndMisses) {
   EXPECT_EQ(cache.find(1, 0), nullptr);
 }
 
+TEST(PlanCache, SizeCountsRankPlansNotKeys) {
+  PlanCache cache;
+  auto plan = std::make_shared<mpix::LocalityPlan>();
+  // Ranks arrive in any order; a late high rank grows the key's slots.
+  for (int r : {3, 0, 7, 1}) cache.put(5, r, plan);
+  cache.put(6, 2, plan);
+  EXPECT_EQ(cache.size(), 5u);
+  cache.put(5, 3, std::make_shared<mpix::LocalityPlan>());  // overwrite
+  cache.put(5, 4, nullptr);                                 // ignored
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_NE(cache.find(5, 3), plan);
+  EXPECT_EQ(cache.find(5, 7), plan);
+  EXPECT_EQ(cache.find(5, 4), nullptr);  // slot between stored ranks
+  EXPECT_EQ(cache.find(5, 8), nullptr);  // past the last slot
+  EXPECT_EQ(cache.find(6, 0), nullptr);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 3);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  cache.put(5, 0, plan);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(PlanCache, FingerprintIdentifiesGlobalPatterns) {
   auto halo_of = [](int nx, int ny, int p) {
     sparse::Csr a = sparse::paper_problem(nx, ny);
