@@ -98,9 +98,7 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-}  // namespace
-
-std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
+std::uint64_t compute_fingerprint(const simmpi::Comm& comm,
                                   const simmpi::Machine& machine) {
   std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
   h = fnv_mix(h, static_cast<std::uint64_t>(comm.size()));
@@ -117,6 +115,35 @@ std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
     h = fnv_mix(h, static_cast<std::uint64_t>(machine.region_of(m)));
   }
   return h;
+}
+
+/// Key of the CommLayout entry in every communicator's host cache.
+constexpr char kCommLayoutKey = 0;
+
+}  // namespace
+
+std::shared_ptr<const CommLayout> comm_layout(const simmpi::Comm& comm) {
+  return comm.cache().get<CommLayout>(&kCommLayoutKey, [&comm] {
+    const auto& machine = comm.engine().machine();
+    auto lay = std::make_shared<CommLayout>();
+    lay->fingerprint = compute_fingerprint(comm, machine);
+    const auto members = comm.members();
+    lay->g2l.assign(static_cast<std::size_t>(machine.num_ranks()), -1);
+    for (int i = 0; i < comm.size(); ++i) {
+      lay->g2l[members[i]] = i;
+      // Members ascend in local rank, so the first seen is the smallest.
+      const int reg = machine.region_of(members[i]);
+      if (!lay->region_root.find(reg)) lay->region_root[reg] = i;
+    }
+    return std::shared_ptr<const CommLayout>(std::move(lay));
+  });
+}
+
+std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
+                                  const simmpi::Machine& machine) {
+  if (&machine == &comm.engine().machine())
+    return comm_layout(comm)->fingerprint;
+  return compute_fingerprint(comm, machine);
 }
 
 void count_link_crossing(const simmpi::Machine& machine, int gsrc, int gdst,
@@ -335,6 +362,50 @@ PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup) {
     lay.src_blocks.push_back(std::move(blk));
   }
   return lay;
+}
+
+RegionRouting region_routing(std::span<const long long> all_md, bool dedup,
+                             bool lpt, int nlocal, int my_region,
+                             const simmpi::Machine& machine,
+                             std::span<const int> members) {
+  RegionRouting rt;
+  rt.metadata.assign(all_md.begin(), all_md.end());
+  rt.dedup = dedup;
+  rt.lpt = lpt;
+  parse_edges(all_md, dedup, rt.out_edges, rt.in_edges);
+  auto region_of = [&](int local) {
+    return machine.region_of(members[local]);
+  };
+
+  // Group remote traffic by peer region (sorted FlatMap => ascending
+  // region ids).
+  for (const auto& e : rt.out_edges) {
+    const int q = region_of(e.dst);
+    if (q != my_region) rt.out_pairs[q].push_back(&e);
+  }
+  for (const auto& e : rt.in_edges) {
+    const int r = region_of(e.src);
+    if (r != my_region) rt.in_pairs[r].push_back(&e);
+  }
+
+  // Leader assignment and pair layouts.
+  auto lead = [&](const util::FlatMap<int, std::vector<const Edge*>>& pairs,
+                  std::vector<std::pair<int, long>>& loads,
+                  util::FlatMap<int, int>& leader_core,
+                  util::FlatMap<int, PairLayout>& layout) {
+    for (const auto& [peer, v] : pairs) {
+      long t = 0;
+      for (const Edge* e : v) t += e->count;
+      loads.emplace_back(peer, t);
+      layout[peer] = pair_layout(v, dedup);
+    }
+    const auto assign = assign_leaders(loads, nlocal, lpt);
+    for (std::size_t i = 0; i < loads.size(); ++i)
+      leader_core[loads[i].first] = assign[i];
+  };
+  lead(rt.out_pairs, rt.out_loads, rt.out_leader_core, rt.out_layout);
+  lead(rt.in_pairs, rt.in_loads, rt.in_leader_core, rt.in_layout);
+  return rt;
 }
 
 }  // namespace mpix::detail

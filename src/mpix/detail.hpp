@@ -6,11 +6,13 @@
 /// inter-region messages.  Kept separate so the logic is unit-testable
 /// without the simulator.
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "mpix/neighbor.hpp"
+#include "util/flat_map.hpp"
 
 namespace mpix::detail {
 
@@ -35,8 +37,25 @@ void reject_duplicate_edges(const simmpi::DistGraph& graph);
 /// switch-hierarchy radixes (not the tapers, which only scale costs), so
 /// a plan's per-tier link counters cannot be reused on a different tree
 /// shape but survive a taper sweep.
+///
+/// O(P) to compute, so it is computed once per communicator: when
+/// `machine` is the communicator's own engine machine, the value comes
+/// from comm_layout(); for any other machine it is computed afresh.
 std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
                                   const simmpi::Machine& machine);
+
+/// O(P) tables of one communicator on its engine's machine, which every
+/// plan build on the communicator needs and which depend on nothing else.
+struct CommLayout {
+  std::uint64_t fingerprint = 0;  ///< binding_fingerprint(comm, machine)
+  std::vector<int> g2l;  ///< global rank -> comm-local rank (-1: no member)
+  util::FlatMap<int, int> region_root;  ///< region -> smallest local rank
+};
+
+/// The communicator's CommLayout, built by the first member to ask and
+/// kept in the communicator's host cache (simmpi::CommCache) for its
+/// lifetime; every member and every later plan build shares it.
+std::shared_ptr<const CommLayout> comm_layout(const simmpi::Comm& comm);
 
 /// Accumulate `stats.link_msgs` / `link_values` for one network message
 /// from global rank `gsrc` to `gdst`: one count per link tier the pair's
@@ -116,5 +135,44 @@ PairLayout pair_layout(std::span<const Edge* const> edges, bool dedup);
 
 /// Sorted unique gids of one edge's value list.
 std::vector<gidx> unique_sorted(std::span<const gidx> gids);
+
+/// The region-wide half of a locality plan (Algorithms 4-6): everything a
+/// region derives from its members' gathered traffic metadata, before any
+/// member picks out its own gather/scatter maps.  Identical on every
+/// member of the region, so one member builds it for all.
+struct RegionRouting {
+  std::vector<long long> metadata;  ///< the gathered blob it derives from
+  bool dedup = false;
+  bool lpt = false;
+  /// Parsed edges in comm-local ranks, sorted by (src, dst).
+  std::vector<Edge> out_edges, in_edges;
+  /// Peer region -> the edges crossing to / from it (pointers into
+  /// out_edges / in_edges, in edge order), ascending region ids.
+  util::FlatMap<int, std::vector<const Edge*>> out_pairs, in_pairs;
+  /// (peer region, values crossing), aligned with out_pairs / in_pairs.
+  std::vector<std::pair<int, long>> out_loads, in_loads;
+  /// Peer region -> region-local core (rank in the region communicator)
+  /// that sends to it / receives from it.
+  util::FlatMap<int, int> out_leader_core, in_leader_core;
+  /// Peer region -> layout of the pair's single inter-region message.
+  util::FlatMap<int, PairLayout> out_layout, in_layout;
+
+  RegionRouting() = default;
+  RegionRouting(RegionRouting&&) = default;
+  RegionRouting& operator=(RegionRouting&&) = default;
+  // Not copyable: the pair maps point into this object's edge vectors.
+  RegionRouting(const RegionRouting&) = delete;
+  RegionRouting& operator=(const RegionRouting&) = delete;
+};
+
+/// Build region `my_region`'s routing from `all_md`, the concatenated
+/// serialize_edges() blobs of its `nlocal` members.  `members` maps the
+/// parent communicator's local ranks (the ranks the blobs name) to global
+/// ranks, which `machine` places in regions.  Leaders are assigned by LPT
+/// when `lpt`, else round-robin.  Pure and deterministic in its inputs.
+RegionRouting region_routing(std::span<const long long> all_md, bool dedup,
+                             bool lpt, int nlocal, int my_region,
+                             const simmpi::Machine& machine,
+                             std::span<const int> members);
 
 }  // namespace mpix::detail

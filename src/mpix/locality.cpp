@@ -14,7 +14,11 @@
 ///  * `make_locality_plan` (collective) computes every routing decision —
 ///    gather/scatter index maps, staging layouts, leader assignments — from
 ///    metadata shared inside each region plus a root-to-root handshake, and
-///    stores them in a buffer-free `LocalityPlan`;
+///    stores them in a buffer-free `LocalityPlan`.  The region-wide part
+///    (`detail::region_routing`: parsed edges, peer-region pairs, leaders,
+///    pair layouts) is identical on every member of a region, so the first
+///    member builds it once in the region communicator's host cache and
+///    the others share it; each rank then derives only its own maps;
 ///  * `impl::bind_locality` (purely local) attaches payload buffers and
 ///    fresh message channels to a plan, scaling all value offsets by the
 ///    arguments' `element_size`.
@@ -170,6 +174,9 @@ std::vector<long> src_item_offsets(const PairLayout& lay,
   return out;
 }
 
+/// Key of the shared RegionRouting in a region communicator's host cache.
+constexpr char kRegionRoutingKey = 0;
+
 }  // namespace
 
 Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
@@ -183,12 +190,13 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   detail::reject_duplicate_edges(graph);
   const Comm& comm = graph.comm;
   const auto& machine = ctx.engine().machine();
+  const auto layout = detail::comm_layout(comm);
 
   auto plan = std::make_shared<LocalityPlan>();
   plan->dedup = dedup;
   plan->lpt_balance = opts.lpt_balance;
   plan->setup_compute_per_word = opts.setup_compute_per_word;
-  plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
+  plan->binding_fingerprint = layout->fingerprint;
   plan->destinations = graph.destinations;
   plan->sources = graph.sources;
   plan->sendcounts = args.sendcounts;
@@ -238,56 +246,33 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
   auto all_md = co_await coll::allgatherv<long long>(ctx, rc, std::move(blob));
   ctx.compute(opts.setup_compute_per_word *
               static_cast<double>(all_md.size()));
-  std::vector<Edge> out_edges, in_edges;
-  detail::parse_edges(all_md, dedup, out_edges, in_edges);
 
-  // Group remote traffic by peer region (sorted FlatMap => ascending region
-  // ids, identical on every member since the metadata is identical).
-  util::FlatMap<int, std::vector<const Edge*>> out_pairs, in_pairs;
-  for (const auto& e : out_edges) {
-    const int q = region_of(e.dst);
-    if (q != my_region) out_pairs[q].push_back(&e);
-  }
-  for (const auto& e : in_edges) {
-    const int rr = region_of(e.src);
-    if (rr != my_region) in_pairs[rr].push_back(&e);
-  }
+  // ---- region-wide routing: built once, shared by the region's members ----
+  // Every member holds the same gathered metadata, so the first member to
+  // get here builds the routing for all.  Each compares its own copy with
+  // the builder's, so no member acts on routing derived from metadata it
+  // does not hold.
+  const auto rt = rc.cache().take<detail::RegionRouting>(
+      &kRegionRoutingKey, nlocal, [&] {
+        return std::make_shared<const detail::RegionRouting>(
+            detail::region_routing(all_md, dedup, opts.lpt_balance, nlocal,
+                                   my_region, machine, comm.members()));
+      });
+  if (rt->metadata != all_md || rt->dedup != dedup ||
+      rt->lpt != opts.lpt_balance)
+    throw simmpi::SimError(
+        "make_locality_plan: region members disagree on the gathered "
+        "traffic metadata or plan options");
+  const auto& out_pairs = rt->out_pairs;
+  const auto& in_pairs = rt->in_pairs;
+  const auto& out_leader_core = rt->out_leader_core;
+  const auto& in_leader_core = rt->in_leader_core;
+  const auto& out_layout = rt->out_layout;
+  const auto& in_layout = rt->in_layout;
 
-  // ---- leader assignment ---------------------------------------------------
-  std::vector<std::pair<int, long>> out_loads, in_loads;
-  for (const auto& [q, v] : out_pairs) {
-    long t = 0;
-    for (const Edge* e : v) t += e->count;
-    out_loads.emplace_back(q, t);
-  }
-  for (const auto& [rr, v] : in_pairs) {
-    long t = 0;
-    for (const Edge* e : v) t += e->count;
-    in_loads.emplace_back(rr, t);
-  }
-  const auto out_assign =
-      detail::assign_leaders(out_loads, nlocal, opts.lpt_balance);
-  const auto in_assign =
-      detail::assign_leaders(in_loads, nlocal, opts.lpt_balance);
-  util::FlatMap<int, int> out_leader_core, in_leader_core;
-  for (std::size_t i = 0; i < out_loads.size(); ++i)
-    out_leader_core[out_loads[i].first] = out_assign[i];
-  for (std::size_t i = 0; i < in_loads.size(); ++i)
-    in_leader_core[in_loads[i].first] = in_assign[i];
-
-  // ---- rank translation tables --------------------------------------------
-  auto members = comm.members();
-  std::vector<int> g2l(machine.num_ranks(), -1);
-  for (int i = 0; i < comm.size(); ++i) g2l[members[i]] = i;
-  util::FlatMap<int, int> region_root;  // region -> smallest comm-local member
-  for (int i = 0; i < comm.size(); ++i) {
-    const int reg = machine.region_of(members[i]);
-    if (int* root = region_root.find(reg))
-      *root = std::min(*root, i);
-    else
-      region_root[reg] = i;
-  }
-  auto core_to_local = [&](int core) { return g2l[rc.global(core)]; };
+  // ---- rank translation tables ---------------------------------------------
+  const auto& region_root = layout->region_root;
+  auto core_to_local = [&](int core) { return layout->g2l[rc.global(core)]; };
   ctx.compute(opts.setup_compute_per_word * comm.size());
 
   // ---- root handshake: learn peer-region leaders ---------------------------
@@ -336,13 +321,7 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
     }
   }
 
-  // ---- pair layouts and staging buffers ------------------------------------
-  util::FlatMap<int, PairLayout> out_layout, in_layout;
-  for (const auto& [q, v] : out_pairs)
-    out_layout[q] = detail::pair_layout(v, dedup);
-  for (const auto& [rr, v] : in_pairs)
-    in_layout[rr] = detail::pair_layout(v, dedup);
-
+  // ---- staging buffers -----------------------------------------------------
   std::vector<int> my_out_qs, my_in_rs;
   for (const auto& [q, core] : out_leader_core)
     if (core == my_core) my_out_qs.push_back(q);
@@ -524,8 +503,8 @@ Task<std::shared_ptr<const LocalityPlan>> impl::build_locality_plan(
 
   // Charge the routing computation (index map building) to this rank.
   ctx.compute(opts.setup_compute_per_word *
-              static_cast<double>(s_total + g_total + out_edges.size() +
-                                  in_edges.size() + nlocal));
+              static_cast<double>(s_total + g_total + rt->out_edges.size() +
+                                  rt->in_edges.size() + nlocal));
   co_return plan;
 }
 

@@ -17,12 +17,19 @@ Task<Comm> comm_split(Context& ctx, Comm comm, int color, int key) {
       ctx, comm, SplitEntry{color, key, comm.rank()});
 
   std::vector<SplitEntry> mine;
+  mine.reserve(static_cast<std::size_t>(std::count_if(
+      entries.begin(), entries.end(),
+      [color](const SplitEntry& e) { return e.color == color; })));
   for (const auto& e : entries)
     if (e.color == color) mine.push_back(e);
-  std::stable_sort(mine.begin(), mine.end(),
-                   [](const SplitEntry& a, const SplitEntry& b) {
-                     return a.key != b.key ? a.key < b.key : a.rank < b.rank;
-                   });
+  // Parent ranks are unique, so (key, rank) is a total order.  Keys that
+  // follow the parent order (every dup_for_topology and split_by_region
+  // call) leave the entries sorted already: check in O(P), skip the sort.
+  auto by_key_rank = [](const SplitEntry& a, const SplitEntry& b) {
+    return a.key != b.key ? a.key < b.key : a.rank < b.rank;
+  };
+  if (!std::is_sorted(mine.begin(), mine.end(), by_key_rank))
+    std::stable_sort(mine.begin(), mine.end(), by_key_rank);
   std::vector<int> members;
   members.reserve(mine.size());
   int my_local = -1;

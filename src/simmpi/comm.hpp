@@ -8,6 +8,7 @@
 /// tag) channel.  Wildcards (`MPI_ANY_SOURCE`/`MPI_ANY_TAG`) are not
 /// supported — the neighborhood collective implementations never need them.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -15,6 +16,7 @@
 
 #include "simmpi/types.hpp"
 #include "util/arena.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace simmpi {
 
@@ -44,10 +46,75 @@ struct Message {
   double arrival = 0.0;
 };
 
-/// Shared, immutable membership data of a communicator.
+/// Host-side attribute cache of one communicator, in the spirit of
+/// `MPI_Comm_set_attr`: values derived from data every member holds
+/// identically, built once by whichever member asks first and shared by
+/// the rest.  It moves no simulated byte and charges no virtual time —
+/// callers charge `ctx.compute` exactly as if each member had built the
+/// value itself — so which member wins the build never shows in the
+/// schedule (docs/ARCHITECTURE.md, "Determinism contract").
+///
+/// A key is the address of a caller-owned tag object (one per kind of
+/// value, like an MPI keyval) and must always be used with one value type.
+/// Builders run under the cache's lock, so members asking concurrently
+/// wait for the first build instead of repeating it; a builder must not
+/// use the same cache.
+class CommCache {
+ public:
+  using Key = const void*;
+
+  /// The value under `key`, built by `make()` (returning
+  /// `std::shared_ptr<const T>`) on first use and kept for the
+  /// communicator's lifetime.
+  template <class T, class Make>
+  std::shared_ptr<const T> get(Key key, Make&& make) {
+    util::MutexLock lk(mu_);
+    if (Entry* e = find(key))
+      return std::static_pointer_cast<const T>(e->value);
+    std::shared_ptr<const T> v = make();
+    entries_.push_back({key, v, -1});
+    return v;
+  }
+
+  /// A value shared by exactly `takers` calls: the first builds it with
+  /// `make()`, every call returns it, and the `takers`-th call drops the
+  /// entry, so the value lives only as long as some taker holds it.
+  template <class T, class Make>
+  std::shared_ptr<const T> take(Key key, int takers, Make&& make) {
+    util::MutexLock lk(mu_);
+    Entry* e = find(key);
+    if (!e) {
+      entries_.push_back({key, make(), takers});
+      e = &entries_.back();
+    }
+    auto v = std::static_pointer_cast<const T>(e->value);
+    if (--e->takes_left == 0)
+      entries_.erase(entries_.begin() + (e - entries_.data()));
+    return v;
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    std::shared_ptr<const void> value;
+    int takes_left;  ///< -1 for `get` entries, which never expire
+  };
+  Entry* find(Key key) REQUIRES(mu_) {
+    auto it = std::find_if(entries_.begin(), entries_.end(),
+                           [key](const Entry& e) { return e.key == key; });
+    return it == entries_.end() ? nullptr : &*it;
+  }
+
+  util::Mutex mu_;
+  std::vector<Entry> entries_ GUARDED_BY(mu_);
+};
+
+/// Shared membership data of a communicator: immutable apart from its
+/// host-side attribute cache.
 struct CommData {
   std::uint32_t ctx_id = 0;
   std::vector<int> members;  ///< global rank of each local rank
+  mutable CommCache cache;
 };
 
 /// Lightweight per-rank communicator handle (cheap to copy).
@@ -69,6 +136,8 @@ class Comm {
   int global(int local) const { return data_->members[local]; }
   std::span<const int> members() const { return data_->members; }
   Engine& engine() const { return *eng_; }
+  /// Host-side attribute cache shared by every member (see CommCache).
+  CommCache& cache() const { return data_->cache; }
 
   /// Locality tier between this rank and local rank `peer`.
   Locality locality_of(int peer) const;

@@ -9,11 +9,13 @@
 /// stores, eviction around in-flight temp files), the process-wide
 /// coroutine-frame reservoir (`util::frame_alloc`/`frame_free` with
 /// cross-thread block migration), a cross-thread `util::Arena`
-/// produce/consume pipeline, and `util::WorkerPool` exception rethrow
-/// under contention.  The assertions pin functional correctness; the real
-/// teeth are the `-DSANITIZE=thread` CI job, where ThreadSanitizer turns
-/// any unsynchronized access these workloads reach into a test failure
-/// (see docs/ARCHITECTURE.md, "Thread-safety contract").
+/// produce/consume pipeline, `util::WorkerPool` exception rethrow
+/// under contention, and the per-communicator `simmpi::CommCache` from
+/// rank coroutines of a width-4 engine.  The assertions pin functional
+/// correctness; the real teeth are the `-DSANITIZE=thread` CI job, where
+/// ThreadSanitizer turns any unsynchronized access these workloads reach
+/// into a test failure (see docs/ARCHITECTURE.md, "Thread-safety
+/// contract").
 
 #include <gtest/gtest.h>
 
@@ -31,7 +33,9 @@
 
 #include "harness/exchange.hpp"
 #include "harness/hierarchy_cache.hpp"
+#include "mpix/detail.hpp"
 #include "mpix/neighbor.hpp"
+#include "simmpi/coll.hpp"
 #include "sparse/stencil.hpp"
 #include "util/arena.hpp"
 #include "util/worker_pool.hpp"
@@ -471,4 +475,66 @@ TEST(WorkerPoolConcurrency, WorkersShareOnePlanCache) {
   EXPECT_EQ(cache.hits() + cache.misses(),
             static_cast<long>(3 * kRanks));
   EXPECT_EQ(cache.misses(), static_cast<long>(kRanks));
+}
+
+// ---- CommCache ------------------------------------------------------
+
+// The locality plan build's sharing pattern on a width-4 engine: every
+// member of each 16-rank region takes the region's routing from the region
+// communicator's cache, and every rank reads the world communicator's
+// layout.  The routing is built exactly once per region, every member gets
+// the same object, and the cache drops it after the last take (the engine,
+// and with it every communicator, is still alive when the weak pointers
+// are checked).  The world layout is built once for all 512 ranks.
+TEST(CommCacheConcurrency, RegionRoutingBuiltOncePerRegion) {
+  constexpr int kRegions = 32, kPerRegion = 16;
+  constexpr int kRanks = kRegions * kPerRegion;
+  simmpi::Engine eng(simmpi::Machine({.num_nodes = kRegions,
+                                      .regions_per_node = 1,
+                                      .ranks_per_region = kPerRegion}),
+                     simmpi::CostParams::lassen(),
+                     simmpi::Engine::Options{.threads = 4});
+  ASSERT_EQ(eng.threads(), 4);
+  static const char kKey = 0;
+  using mpix::detail::RegionRouting;
+  std::atomic<int> builds{0};
+  std::vector<const RegionRouting*> got(kRanks);
+  std::vector<std::weak_ptr<const RegionRouting>> weak(kRanks);
+  std::vector<const mpix::detail::CommLayout*> layouts(kRanks);
+
+  eng.run([&](simmpi::Context& ctx) -> simmpi::Task<> {
+    const simmpi::Comm world = ctx.world();
+    simmpi::Comm rc = co_await simmpi::coll::split_by_region(ctx, world);
+    // Each member's (edge-free) serialize_edges blob: [rank, 0, 0].
+    std::vector<long long> mine{world.rank(), 0, 0};
+    auto all_md = co_await simmpi::coll::allgatherv<long long>(
+        ctx, rc, std::move(mine));
+    const int region = ctx.engine().machine().region_of(ctx.rank());
+    auto rt = rc.cache().take<RegionRouting>(&kKey, rc.size(), [&] {
+      builds.fetch_add(1, std::memory_order_relaxed);
+      return std::make_shared<const RegionRouting>(mpix::detail::region_routing(
+          all_md, false, true, rc.size(), region, ctx.engine().machine(),
+          world.members()));
+    });
+    EXPECT_EQ(rt->metadata, all_md);
+    got[ctx.rank()] = rt.get();
+    weak[ctx.rank()] = rt;
+    layouts[ctx.rank()] = mpix::detail::comm_layout(world).get();
+    // Hold the routing until every member has taken it.
+    co_await simmpi::coll::barrier(ctx, rc);
+  });
+
+  EXPECT_EQ(builds.load(), kRegions);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(got[r], got[r - r % kPerRegion]) << "rank " << r;
+    EXPECT_TRUE(weak[r].expired()) << "rank " << r;
+    EXPECT_EQ(layouts[r], layouts[0]) << "rank " << r;
+  }
+  // The cached fingerprint is the computed one; a different Machine object
+  // of the same shape falls back to computing it.
+  const simmpi::Comm world(&eng, eng.world_data(), 0);
+  const simmpi::Machine copy = eng.machine();
+  EXPECT_EQ(mpix::detail::binding_fingerprint(world, copy),
+            layouts[0]->fingerprint);
+  EXPECT_EQ(mpix::detail::comm_layout(world).get(), layouts[0]);
 }

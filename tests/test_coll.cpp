@@ -166,6 +166,30 @@ TEST(Coll, CommSplitFormsOrderedGroups) {
   });
 }
 
+TEST(Coll, CommSplitTiedKeysKeepParentOrder) {
+  Engine eng = make_engine(12);
+  eng.run([&](Context& ctx) -> Task<> {
+    // All-equal keys (already in (key, rank) order): parent-rank order.
+    Comm tied = co_await coll::comm_split(ctx, ctx.world(), ctx.rank() % 2, 7);
+    EXPECT_EQ(tied.size(), 6);
+    for (int i = 0; i < tied.size(); ++i)
+      EXPECT_EQ(tied.global(i), 2 * i + ctx.rank() % 2);
+    EXPECT_EQ(tied.global(tied.rank()), ctx.rank());
+
+    // Mixed keys: ascending on the lower half, descending on the upper,
+    // with ties between the halves broken by parent rank.
+    const int r = ctx.rank();
+    const int key = r < 6 ? r : 11 - r;  // 0..5 then 5..0
+    Comm mixed = co_await coll::comm_split(ctx, ctx.world(), 0, key);
+    const std::vector<int> expected{0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6};
+    EXPECT_EQ(mixed.size(), 12);
+    if (mixed.size() != 12) co_return;
+    for (int i = 0; i < mixed.size(); ++i)
+      EXPECT_EQ(mixed.global(i), expected[i]);
+    EXPECT_EQ(mixed.global(mixed.rank()), r);
+  });
+}
+
 TEST(Coll, SplitByRegionGroupsRegionRanks) {
   Engine eng(Machine({.num_nodes = 3, .regions_per_node = 2,
                       .ranks_per_region = 4}),

@@ -2,7 +2,8 @@
 /// \brief Locality-method knobs: LPT vs round-robin leader assignment must
 /// not change delivered payloads (only the per-leader load balance), and
 /// Method::locality vs Method::locality_dedup must deliver byte-identical
-/// receive buffers on patterns whose send_idx contains duplicates.
+/// receive buffers on patterns whose send_idx contains duplicates, and the
+/// members of a region must agree on the options of the routing they share.
 
 #include <gtest/gtest.h>
 
@@ -155,4 +156,25 @@ TEST(LocalityOptions, DedupStrictlyReducesDuplicateHeavyTraffic) {
   // 12 copies without dedup, 2 unique values per region pair with it.
   EXPECT_EQ(sum_global_values(plain.stats), 12);
   EXPECT_EQ(sum_global_values(dedup.stats), 6);
+}
+
+TEST(LocalityOptions, RegionMembersMustAgreeOnLeaderPolicy) {
+  // One member of each region builds the region's routing for all; a
+  // member whose options differ from the builder's is refused rather than
+  // handed routing it did not ask for.
+  GlobalPattern pat = skewed_pattern();
+  Engine eng(Machine({.num_nodes = 4, .regions_per_node = 1,
+                      .ranks_per_region = 2}),
+             CostParams::lassen());
+  EXPECT_THROW(eng.run([&](Context& ctx) -> Task<> {
+                 RankArgs a = pattern::rank_args(pat, ctx.rank());
+                 DistGraph g = co_await dist_graph_create_adjacent(
+                     ctx, ctx.world(), a.sources, a.destinations,
+                     GraphAlgo::handshake);
+                 const AlltoallvArgs args = a.view();
+                 const Options opts{.lpt_balance = ctx.rank() % 2 == 0};
+                 co_await make_locality_plan(ctx, g, args, Method::locality,
+                                             opts);
+               }),
+               SimError);
 }

@@ -308,3 +308,136 @@ TEST(EdgeOrdering, SortsBySrcThenDst) {
   EXPECT_EQ(v[1].dst, 9);
   EXPECT_EQ(v[2].src, 2);
 }
+
+// ---------------------------------------------------------------------------
+// region_routing: the region-wide half of a locality plan, from a
+// hand-built metadata blob.  Three regions of two ranks each; the blob is
+// region 0's (ranks 0 and 1), with every edge's values named by gid.
+// ---------------------------------------------------------------------------
+namespace {
+
+using PeerGids = std::pair<int, std::vector<gidx>>;  // peer rank, gids
+
+struct RankMd {
+  int rank;
+  std::vector<PeerGids> outs, ins;
+};
+
+/// The serialize_edges() layout: [rank, nout, (dst, count, gids?)...,
+/// nin, (src, count, gids?)...] per rank, concatenated in rank order.
+std::vector<long long> region0_blob(bool dedup) {
+  const std::vector<RankMd> ranks{
+      {0,
+       {{1, {1}}, {2, {10, 11}}, {3, {11, 13}}, {4, {12}}},
+       {{3, {30}}}},
+      {1,
+       {{3, {20, 21, 20}}, {5, {21, 22, 22, 23, 21, 20, 24}}},
+       {{0, {1}}, {4, {40, 41}}}}};
+  std::vector<long long> blob;
+  auto put = [&](const std::vector<PeerGids>& edges) {
+    blob.push_back(static_cast<long long>(edges.size()));
+    for (const auto& [peer, gids] : edges) {
+      blob.push_back(peer);
+      blob.push_back(static_cast<long long>(gids.size()));
+      if (dedup) blob.insert(blob.end(), gids.begin(), gids.end());
+    }
+  };
+  for (const auto& r : ranks) {
+    blob.push_back(r.rank);
+    put(r.outs);
+    put(r.ins);
+  }
+  return blob;
+}
+
+simmpi::Machine three_regions() {
+  return simmpi::Machine(
+      {.num_nodes = 3, .regions_per_node = 1, .ranks_per_region = 2});
+}
+
+const std::vector<int> kIdentity{0, 1, 2, 3, 4, 5};
+
+}  // namespace
+
+TEST(RegionRouting, GroupsRemoteEdgesByPeerRegion) {
+  const auto blob = region0_blob(false);
+  const auto m = three_regions();
+  const RegionRouting rt =
+      region_routing(blob, false, false, 2, 0, m, kIdentity);
+  EXPECT_EQ(rt.metadata, blob);
+  EXPECT_FALSE(rt.dedup);
+  EXPECT_EQ(rt.out_edges.size(), 6u);  // including the local 0 -> 1
+  EXPECT_EQ(rt.in_edges.size(), 3u);   // including the local 0 -> 1
+
+  // Local traffic never enters a pair; peer regions ascend.
+  ASSERT_EQ(rt.out_pairs.size(), 2u);
+  ASSERT_EQ(rt.in_pairs.size(), 2u);
+  std::vector<std::pair<int, int>> r1;
+  for (const Edge* e : *rt.out_pairs.find(1)) r1.emplace_back(e->src, e->dst);
+  EXPECT_EQ(r1, (std::vector<std::pair<int, int>>{{0, 2}, {0, 3}, {1, 3}}));
+  std::vector<std::pair<int, int>> r2;
+  for (const Edge* e : *rt.out_pairs.find(2)) r2.emplace_back(e->src, e->dst);
+  EXPECT_EQ(r2, (std::vector<std::pair<int, int>>{{0, 4}, {1, 5}}));
+  ASSERT_EQ(rt.in_pairs.find(1)->size(), 1u);
+  EXPECT_EQ((*rt.in_pairs.find(1))[0]->src, 3);
+  EXPECT_EQ((*rt.in_pairs.find(2))[0]->dst, 1);
+
+  EXPECT_EQ(rt.out_loads,
+            (std::vector<std::pair<int, long>>{{1, 7}, {2, 8}}));
+  EXPECT_EQ(rt.in_loads, (std::vector<std::pair<int, long>>{{1, 1}, {2, 2}}));
+}
+
+TEST(RegionRouting, LeadersFollowLptOrRoundRobin) {
+  const auto blob = region0_blob(false);
+  const auto m = three_regions();
+  // Round-robin: peer regions in id order onto cores 0, 1.
+  const RegionRouting rr =
+      region_routing(blob, false, false, 2, 0, m, kIdentity);
+  EXPECT_EQ(*rr.out_leader_core.find(1), 0);
+  EXPECT_EQ(*rr.out_leader_core.find(2), 1);
+  EXPECT_EQ(*rr.in_leader_core.find(1), 0);
+  EXPECT_EQ(*rr.in_leader_core.find(2), 1);
+  // LPT: the heavier region (2 in both directions) takes core 0.
+  const RegionRouting lpt =
+      region_routing(blob, false, true, 2, 0, m, kIdentity);
+  EXPECT_TRUE(lpt.lpt);
+  EXPECT_EQ(*lpt.out_leader_core.find(2), 0);
+  EXPECT_EQ(*lpt.out_leader_core.find(1), 1);
+  EXPECT_EQ(*lpt.in_leader_core.find(2), 0);
+  EXPECT_EQ(*lpt.in_leader_core.find(1), 1);
+}
+
+TEST(RegionRouting, PairLayoutsWithAndWithoutDedup) {
+  const auto m = three_regions();
+  // No dedup: one segment per edge, in (src, dst) order.
+  const RegionRouting plain =
+      region_routing(region0_blob(false), false, false, 2, 0, m, kIdentity);
+  const PairLayout& p1 = *plain.out_layout.find(1);
+  EXPECT_EQ(p1.total, 7);
+  ASSERT_EQ(p1.segments.size(), 3u);
+  EXPECT_EQ(p1.segments[0].offset, 0);
+  EXPECT_EQ(p1.segments[1].offset, 2);
+  EXPECT_EQ(p1.segments[2].offset, 4);
+  EXPECT_EQ(plain.out_layout.find(2)->total, 8);
+  EXPECT_EQ(plain.in_layout.find(1)->total, 1);
+  EXPECT_EQ(plain.in_layout.find(2)->total, 2);
+
+  // Dedup: one block of unique gids per source, merged across the source's
+  // edges into the region.
+  const RegionRouting dd =
+      region_routing(region0_blob(true), true, false, 2, 0, m, kIdentity);
+  EXPECT_TRUE(dd.dedup);
+  const PairLayout& d1 = *dd.out_layout.find(1);
+  EXPECT_EQ(d1.total, 5);  // {10, 11, 13} + {20, 21}
+  ASSERT_EQ(d1.src_blocks.size(), 2u);
+  EXPECT_EQ(d1.src_blocks[0].gids, (std::vector<gidx>{10, 11, 13}));
+  EXPECT_EQ(d1.src_blocks[1].offset, 3);
+  EXPECT_EQ(d1.find(0, 13), 2);
+  EXPECT_EQ(d1.find(1, 21), 4);
+  const PairLayout& d2 = *dd.out_layout.find(2);
+  EXPECT_EQ(d2.total, 6);  // {12} + {20, 21, 22, 23, 24}
+  EXPECT_EQ(d2.src_blocks[1].offset, 1);
+  EXPECT_EQ(dd.in_layout.find(2)->total, 2);
+  // Loads count every value, duplicates included.
+  EXPECT_EQ(dd.out_loads, plain.out_loads);
+}
