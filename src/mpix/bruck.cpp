@@ -227,7 +227,7 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
 
   auto plan = std::make_shared<BruckPlan>();
   plan->setup_compute_per_word = opts.setup_compute_per_word;
-  plan->binding_fingerprint = detail::binding_fingerprint(comm, machine);
+  plan->binding_fingerprint = detail::binding_fingerprint(comm);
   plan->sendcounts = args.sendcounts;
   plan->sdispls = args.sdispls;
   plan->recvcounts = args.recvcounts;
@@ -273,13 +273,11 @@ Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
   {
     // split_by_region orders members by comm rank; the layouts below
     // depend on that, so fail loudly if it ever changes.
-    auto cmembers = comm.members();
-    std::vector<int> g2l(static_cast<std::size_t>(machine.num_ranks()), -1);
-    for (int i = 0; i < p; ++i) g2l[cmembers[i]] = i;
+    const auto layout = detail::comm_layout(comm);
     if (rc.size() != nlocal)
       throw SimError("alltoallv bruck: region communicator size mismatch");
     for (int m = 0; m < nlocal; ++m)
-      if (g2l[rc.global(m)] != mem[m])
+      if (layout->g2l[rc.global(m)] != mem[m])
         throw SimError("alltoallv bruck: region communicator order mismatch");
   }
   std::vector<int> meta_mine(2 * static_cast<std::size_t>(p));
@@ -595,8 +593,7 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
   }
   if (opts.reliability.enabled) impl::validate_reliability(opts.reliability);
   if (plan->binding_fingerprint != 0 &&
-      plan->binding_fingerprint !=
-          detail::binding_fingerprint(comm, ctx.engine().machine()))
+      plan->binding_fingerprint != detail::binding_fingerprint(comm))
     throw SimError(
         "alltoallv bruck: plan was built for a different communicator or "
         "machine layout");

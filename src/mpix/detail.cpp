@@ -98,25 +98,6 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::uint64_t compute_fingerprint(const simmpi::Comm& comm,
-                                  const simmpi::Machine& machine) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  h = fnv_mix(h, static_cast<std::uint64_t>(comm.size()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_ranks()));
-  // The switch-hierarchy shape, not its tapers: tapers only scale link
-  // costs, never routing or the per-tier crossing counts baked into a
-  // plan, so plans stay reusable across a taper sweep.
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
-  for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
-    h = fnv_mix(h, static_cast<std::uint64_t>(lvl.radix));
-  for (int m : comm.members()) {
-    h = fnv_mix(h, static_cast<std::uint64_t>(m));
-    h = fnv_mix(h, static_cast<std::uint64_t>(machine.region_of(m)));
-  }
-  return h;
-}
-
 /// Key of the CommLayout entry in every communicator's host cache.
 constexpr char kCommLayoutKey = 0;
 
@@ -125,9 +106,23 @@ constexpr char kCommLayoutKey = 0;
 std::shared_ptr<const CommLayout> comm_layout(const simmpi::Comm& comm) {
   return comm.cache().get<CommLayout>(&kCommLayoutKey, [&comm] {
     const auto& machine = comm.engine().machine();
-    auto lay = std::make_shared<CommLayout>();
-    lay->fingerprint = compute_fingerprint(comm, machine);
     const auto members = comm.members();
+    auto lay = std::make_shared<CommLayout>();
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+    h = fnv_mix(h, static_cast<std::uint64_t>(comm.size()));
+    h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
+    h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_ranks()));
+    // The switch-hierarchy shape, not its tapers: tapers only scale link
+    // costs, never routing or the per-tier crossing counts baked into a
+    // plan, so plans stay reusable across a taper sweep.
+    h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
+    for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
+      h = fnv_mix(h, static_cast<std::uint64_t>(lvl.radix));
+    for (int m : members) {
+      h = fnv_mix(h, static_cast<std::uint64_t>(m));
+      h = fnv_mix(h, static_cast<std::uint64_t>(machine.region_of(m)));
+    }
+    lay->fingerprint = h;
     lay->g2l.assign(static_cast<std::size_t>(machine.num_ranks()), -1);
     for (int i = 0; i < comm.size(); ++i) {
       lay->g2l[members[i]] = i;
@@ -139,11 +134,8 @@ std::shared_ptr<const CommLayout> comm_layout(const simmpi::Comm& comm) {
   });
 }
 
-std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
-                                  const simmpi::Machine& machine) {
-  if (&machine == &comm.engine().machine())
-    return comm_layout(comm)->fingerprint;
-  return compute_fingerprint(comm, machine);
+std::uint64_t binding_fingerprint(const simmpi::Comm& comm) {
+  return comm_layout(comm)->fingerprint;
 }
 
 void count_link_crossing(const simmpi::Machine& machine, int gsrc, int gdst,
@@ -166,9 +158,7 @@ void validate_plan_args(const LocalityPlan& plan,
                         const AlltoallvArgs& args) {
   validate_args(graph, args, plan.dedup);
   if (plan.binding_fingerprint != 0 &&
-      plan.binding_fingerprint !=
-          binding_fingerprint(graph.comm,
-                              graph.comm.engine().machine()))
+      plan.binding_fingerprint != binding_fingerprint(graph.comm))
     throw SimError(
         "neighbor_alltoallv: plan was built for a different communicator or "
         "machine shape");

@@ -38,16 +38,14 @@ void reject_duplicate_edges(const simmpi::DistGraph& graph);
 /// a plan's per-tier link counters cannot be reused on a different tree
 /// shape but survive a taper sweep.
 ///
-/// O(P) to compute, so it is computed once per communicator: when
-/// `machine` is the communicator's own engine machine, the value comes
-/// from comm_layout(); for any other machine it is computed afresh.
-std::uint64_t binding_fingerprint(const simmpi::Comm& comm,
-                                  const simmpi::Machine& machine);
+/// Taken against the communicator's own engine machine.  O(P) to compute,
+/// so it is computed once per communicator and read from comm_layout().
+std::uint64_t binding_fingerprint(const simmpi::Comm& comm);
 
 /// O(P) tables of one communicator on its engine's machine, which every
 /// plan build on the communicator needs and which depend on nothing else.
 struct CommLayout {
-  std::uint64_t fingerprint = 0;  ///< binding_fingerprint(comm, machine)
+  std::uint64_t fingerprint = 0;  ///< binding_fingerprint(comm)
   std::vector<int> g2l;  ///< global rank -> comm-local rank (-1: no member)
   util::FlatMap<int, int> region_root;  ///< region -> smallest local rank
 };
