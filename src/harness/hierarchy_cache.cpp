@@ -75,7 +75,8 @@ class Reader {
   void raw(void* out, std::size_t n) {
     if (static_cast<std::size_t>(end_ - p_) < n)
       throw SimError("HierarchyCache: truncated payload");
-    std::memcpy(out, p_, n);
+    // An empty vector's data() may be null, which memcpy never accepts.
+    if (n != 0) std::memcpy(out, p_, n);
     p_ += n;
   }
   template <class T>

@@ -7,6 +7,10 @@
 /// `start`/`wait`, FIFO matching per (communicator, source, destination,
 /// tag) channel.  Wildcards (`MPI_ANY_SOURCE`/`MPI_ANY_TAG`) are not
 /// supported — the neighborhood collective implementations never need them.
+///
+/// A `Comm` is a trivially copyable, non-owning handle to engine-owned
+/// `CommData`: it is valid while its Engine lives, and copying it writes no
+/// shared memory.
 
 #include <algorithm>
 #include <cstdint>
@@ -110,23 +114,30 @@ class CommCache {
 };
 
 /// Shared membership data of a communicator: immutable apart from its
-/// host-side attribute cache.
+/// host-side attribute cache.  The Engine creates and owns every CommData
+/// (the world's and each sub-communicator's) until it is destroyed.
 struct CommData {
   std::uint32_t ctx_id = 0;
   std::vector<int> members;  ///< global rank of each local rank
   mutable CommCache cache;
 };
 
-/// Lightweight per-rank communicator handle (cheap to copy).
+/// Per-rank communicator handle: a non-owning view of engine-owned
+/// membership data plus the calling rank's local rank.
 ///
-/// A `Comm` combines shared membership data with the calling rank's local
-/// rank.  All peer arguments of its methods are *local* ranks within the
-/// communicator, as in MPI.
+/// All peer arguments of its methods are *local* ranks within the
+/// communicator, as in MPI.  A `Comm` is valid while its Engine lives,
+/// because the Engine owns every CommData for its whole lifetime; like a
+/// Context, it must never outlive its Engine.  The handle is trivially
+/// copyable on purpose:
+/// every rank copies it into each Request and coroutine frame, and a
+/// shared reference count would make each copy an atomic write to one
+/// cache line that all ranks of the communicator read.
 class Comm {
  public:
   Comm() = default;
-  Comm(Engine* eng, std::shared_ptr<const CommData> data, int local_rank)
-      : eng_(eng), data_(std::move(data)), rank_(local_rank) {}
+  Comm(Engine* eng, const CommData* data, int local_rank)
+      : eng_(eng), data_(data), rank_(local_rank) {}
 
   bool valid() const { return data_ != nullptr; }
   int rank() const { return rank_; }
@@ -144,7 +155,7 @@ class Comm {
 
  private:
   Engine* eng_ = nullptr;
-  std::shared_ptr<const CommData> data_{};
+  const CommData* data_ = nullptr;
   int rank_ = -1;
 };
 

@@ -1,6 +1,7 @@
 #include "simmpi/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <exception>
 #include <sstream>
@@ -62,11 +63,8 @@ Engine::Engine(Machine machine, CostParams params, Options opts)
       eject_free_(machine_.num_nodes(), 0.0),
       stats_(machine_.num_ranks()),
       rank_(machine_.num_ranks()) {
-  auto world = std::make_shared<CommData>();
-  world->ctx_id = 0;
-  world->members.resize(machine_.num_ranks());
-  for (int r = 0; r < machine_.num_ranks(); ++r) world->members[r] = r;
-  world_data_ = std::move(world);
+  world_data_.members.resize(machine_.num_ranks());
+  for (int r = 0; r < machine_.num_ranks(); ++r) world_data_.members[r] = r;
 
   if (model_.params().use_link_cap) {
     const int tiers = machine_.num_link_tiers();
@@ -114,13 +112,15 @@ void Engine::run(const RankProgram& program) {
   for (int r = 0; r < nranks; ++r) ready_.push_back(tasks[r].handle());
 
   {
-    // One phase's rank coroutines are resumed on the shared WorkerPool
-    // (util/worker_pool.hpp).  All engine state a resumed coroutine touches
-    // is per-rank (see Engine::RankState), so workers never contend, and
-    // the pool's handoffs give the commit step a view of every coroutine
-    // frame written this phase.  Blocked handout (chunks of 8) keeps
-    // consecutive ranks on one worker — their clocks and stats are
-    // adjacent in memory.
+    // A phase wider than kInlinePhaseRanks is resumed on the WorkerPool
+    // (util/worker_pool.hpp); a narrower one inline on this thread, since
+    // waking the pool would cost more than it saves.  All engine state a
+    // resumed coroutine touches is per-rank (see Engine::RankState), so
+    // workers never contend, and the pool's handoffs give the commit step
+    // a view of every coroutine frame written this phase.  Blocked handout
+    // (chunks of 8) keeps consecutive ranks on one worker — their clocks
+    // and stats are adjacent in memory.  The pool spawns its threads at
+    // its first dispatch, so a run without a wide phase starts none.
     util::WorkerPool pool(std::min(threads_, nranks));
     std::vector<std::coroutine_handle<>> phase;
     std::vector<std::exception_ptr> errs;
@@ -147,7 +147,13 @@ void Engine::run(const RankProgram& program) {
       phase.clear();
       phase.swap(ready_);
       errs.assign(phase.size(), nullptr);
-      pool.run(phase.size(), 8, resume_chunk);
+      ++work_.phases;
+      work_.resumes += phase.size();
+      ++work_.phase_width[std::bit_width(phase.size() - 1)];
+      if (phase.size() <= kInlinePhaseRanks)
+        resume_chunk(0, phase.size(), 0);
+      else
+        pool.run(phase.size(), 8, resume_chunk);
       // First exception in handle order wins (matching the pre-pool
       // behaviour); every handle of the phase has been resumed regardless.
       for (auto& ep : errs)
@@ -373,6 +379,7 @@ void Engine::commit_phase() {
   // bit-identical for any Options::threads.
   for (int r = 0; r < nranks; ++r) {
     auto& journal = rank_[r].journal;
+    work_.msgs_committed += journal.size();
     for (const PendingSend& ps : journal) deliver(ps);
     journal.clear();
   }
@@ -758,7 +765,7 @@ int Engine::next_split_round(const Comm& comm) {
   return rounds[comm.id()]++;
 }
 
-std::shared_ptr<const CommData> Engine::get_or_create_comm(
+const CommData* Engine::get_or_create_comm(
     std::uint32_t parent_ctx, int round, int color,
     const std::vector<int>& members_global) {
   if (color < 0) throw SimError("get_or_create_comm: color must be >= 0");
@@ -770,18 +777,25 @@ std::shared_ptr<const CommData> Engine::get_or_create_comm(
   // winner under the lock assigns the ctx_id.  ctx_ids are identities only
   // — no simulated cost or schedule decision reads their numeric value —
   // so the winner's thread-dependence cannot break determinism.
-  util::MutexLock lk(comm_mu_);
-  auto it = comm_cache_.find(key);
-  if (it != comm_cache_.end()) {
-    if (it->second->members != members_global)
-      throw SimError("get_or_create_comm: member mismatch across ranks");
-    return it->second;
+  const CommData* found;
+  {
+    util::MutexLock lk(comm_mu_);
+    auto it = comm_cache_.find(key);
+    if (it == comm_cache_.end()) {
+      // Copy first: a throwing copy must not leave a half-built entry.
+      std::vector<int> members = members_global;
+      CommData& data = comm_cache_[key];
+      data.ctx_id = next_ctx_id_++;
+      data.members = std::move(members);
+      return &data;
+    }
+    found = &it->second;
   }
-  auto data = std::make_shared<CommData>();
-  data->ctx_id = next_ctx_id_++;
-  data->members = members_global;
-  comm_cache_.emplace(key, data);
-  return data;
+  // Published CommData never changes, so the O(P) member check runs
+  // outside the lock instead of serializing every member behind it.
+  if (found->members != members_global)
+    throw SimError("get_or_create_comm: member mismatch across ranks");
+  return found;
 }
 
 }  // namespace simmpi

@@ -9,7 +9,11 @@
 ///
 /// Execution is *phase-based*: every runnable rank coroutine of a phase is
 /// resumed — concurrently, on a worker pool of `Options::threads` OS threads
-/// — until it blocks on a receive or finishes.  Sends posted during a phase
+/// — until it blocks on a receive or finishes.  Phases of at most
+/// `Engine::kInlinePhaseRanks` runnable ranks are resumed inline on the
+/// calling thread instead: waking the pool costs them more than it saves.
+/// `Engine::work()` counts phases, resumes, phase widths and committed
+/// messages, deterministically (no host clock).  Sends posted during a phase
 /// are journaled per rank, and committed at the phase barrier in (rank,
 /// program) order: only then are NIC queues charged, arrival times fixed,
 /// messages delivered and parked receivers woken.  Because ranks never touch
@@ -22,8 +26,12 @@
 /// Rank programs therefore run concurrently: host-side state shared across
 /// ranks (result tables, caches) must be per-rank slots or synchronized.
 /// Engine-mediated communication needs no user synchronization.
+///
+/// Lifetimes: the Engine owns every communicator's data (CommData) until it
+/// is destroyed, so a `Comm` is valid while its Engine lives — across
+/// runs too.  A `Context` is narrower: it lives for the run() that made it.
 
-#include <atomic>
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -152,6 +160,28 @@ class Engine {
     bool operator==(const RankStats&) const = default;
   };
 
+  /// Deterministic work counters of the phase scheduler, accumulated over
+  /// the engine's lifetime.  They count scheduling events, never host
+  /// time, so they are identical for every value of Options::threads.
+  struct WorkCounters {
+    std::uint64_t phases = 0;   ///< phases run (one resume batch each)
+    std::uint64_t resumes = 0;  ///< coroutine resumes over all phases
+    std::uint64_t msgs_committed = 0;  ///< journaled sends committed
+    /// phase_width[b] counts the phases whose number n of runnable ranks
+    /// has ceil(log2 n) == b, i.e. n in (2^(b-1), 2^b].
+    std::array<std::uint64_t, 32> phase_width{};
+    bool operator==(const WorkCounters&) const = default;
+  };
+
+  /// Phases of at most this many runnable ranks are resumed inline on the
+  /// thread calling run(), without waking the worker pool: a pool
+  /// dispatch returns only after every worker woke and checked in, which
+  /// costs more than resuming this many light ranks serially.  Wider
+  /// phases pay off on the pool even when each rank does little (measured
+  /// tables in docs/ARCHITECTURE.md, "The phase-parallel engine").  Which
+  /// thread resumes a rank never shows in the schedule.
+  static constexpr std::size_t kInlinePhaseRanks = 64;
+
   Engine(Machine machine, CostParams params, Options opts);
   Engine(Machine machine, CostParams params);
 
@@ -167,6 +197,8 @@ class Engine {
   const CostModel& model() const { return model_; }
   /// Resolved scheduler width (>= 1; see Options::threads).
   int threads() const { return threads_; }
+  /// Scheduler work done so far (see WorkCounters).
+  const WorkCounters& work() const { return work_; }
 
   /// Virtual clock of a rank, seconds.
   double clock(int rank) const { return clocks_[rank]; }
@@ -241,13 +273,14 @@ class Engine {
   int next_coll_tag(const Comm& comm);
   /// Deterministically get-or-create a sub-communicator.  All members must
   /// call with the same (parent, round, color, members) tuple.  Safe to
-  /// call from concurrently executing ranks.
-  std::shared_ptr<const CommData> get_or_create_comm(
-      std::uint32_t parent_ctx, int round, int color,
-      const std::vector<int>& members_global);
+  /// call from concurrently executing ranks.  The engine owns the returned
+  /// data until it is destroyed (see Comm).
+  const CommData* get_or_create_comm(std::uint32_t parent_ctx, int round,
+                                     int color,
+                                     const std::vector<int>& members_global);
   /// Per-(comm,rank) counter of communicator-creating calls.
   int next_split_round(const Comm& comm);
-  std::shared_ptr<const CommData> world_data() const { return world_data_; }
+  const CommData* world_data() const { return &world_data_; }
 
   double& clock_ref(int rank) { return clocks_[rank]; }
 
@@ -405,14 +438,16 @@ class Engine {
   /// deterministic delivery order).
   std::vector<std::coroutine_handle<>> ready_;
 
-  std::shared_ptr<const CommData> world_data_;
+  // Every communicator's data lives here until the engine is destroyed:
+  // Comm handles point into it without owning it.
+  CommData world_data_;
   util::Mutex comm_mu_;
   std::uint32_t next_ctx_id_ GUARDED_BY(comm_mu_) = 1;
   // Never iterated: keyed get-or-create only, so its nondeterministic
-  // bucket order can never leak into the schedule.
+  // bucket order can never leak into the schedule.  Node-based: a rehash
+  // never moves an element, so Comm handles may point into it.
   // lint:allow(unordered-container)
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CommData>>
-      comm_cache_ GUARDED_BY(comm_mu_);
+  std::unordered_map<std::uint64_t, CommData> comm_cache_ GUARDED_BY(comm_mu_);
 
   // sync_reset generation state (commit-side; see sync_reset)
   int sync_arrivals_ = 0;
@@ -430,6 +465,7 @@ class Engine {
   /// channels stop growing it after the first iteration).
   util::FlatMap<ChannelKey, ChanFaultCounts> fault_chan_;
 
+  WorkCounters work_;
   bool running_ = false;
 };
 

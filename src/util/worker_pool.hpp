@@ -14,6 +14,12 @@
 /// which is how both the engine's schedule and the sparse kernels keep
 /// their determinism contracts (see docs/ARCHITECTURE.md).
 ///
+/// Cost: a multi-chunk run() returns only after *every* worker woke up and
+/// checked in, so one dispatch costs a wake-up round trip of the slowest
+/// worker (tens to hundreds of microseconds on a loaded 4-core host).
+/// Callers with small inputs should run them inline instead; the engine
+/// does so for phases of at most `Engine::kInlinePhaseRanks` ranks.
+///
 /// Coroutine caveat (engine use): handles are resumed on whatever worker
 /// grabs their chunk, so a coroutine may migrate threads across suspension
 /// points.  Nothing run on the pool may rely on thread-locals across a

@@ -140,9 +140,9 @@ DenseRun run_dense(const DenseSpec& s, int nodes, int rpn,
       std::fill(a.recvbuf.begin(), a.recvbuf.end(), std::byte{0xee});
       co_await coll->start(ctx);
       co_await coll->wait(ctx);
-      EXPECT_EQ(std::memcmp(a.recvbuf.data(), a.expected.data(),
-                            a.recvbuf.size()),
-                0)
+      EXPECT_TRUE(a.recvbuf.empty() ||
+                  std::memcmp(a.recvbuf.data(), a.expected.data(),
+                              a.recvbuf.size()) == 0)
           << coll->name() << " rank " << r << " iter " << it;
     }
     out.recv[r] = a.recvbuf;
@@ -294,9 +294,9 @@ TEST(DenseShapes, SubcommunicatorWithUnevenRegions) {
           std::fill(a.recvbuf.begin(), a.recvbuf.end(), std::byte{0xee});
           co_await coll->start(ctx);
           co_await coll->wait(ctx);
-          EXPECT_EQ(std::memcmp(a.recvbuf.data(), a.expected.data(),
-                                a.recvbuf.size()),
-                    0)
+          EXPECT_TRUE(a.recvbuf.empty() ||
+                      std::memcmp(a.recvbuf.data(), a.expected.data(),
+                                  a.recvbuf.size()) == 0)
               << to_string(m) << " rank " << wr << " iter " << it;
         }
         co_return;

@@ -5,8 +5,10 @@
 
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
+#include "simmpi/coll.hpp"
 #include "simmpi/engine.hpp"
 
 using namespace simmpi;
@@ -449,4 +451,56 @@ TEST(Engine, SyncResetZerosClocksAndStats) {
     EXPECT_DOUBLE_EQ(eng.clock(r), 0.0);
     EXPECT_EQ(eng.stats(r).total_msgs(), 0u);
   }
+}
+
+// Comm is a non-owning handle: copying one (into every Request and
+// coroutine frame) must never touch shared state such as a refcount.
+static_assert(std::is_trivially_copyable_v<Comm>);
+
+TEST(Engine, CommCreationRejectsMemberMismatch) {
+  Engine eng = make_engine(1, 4);
+  const CommData* a = eng.get_or_create_comm(0, 0, 1, {0, 1});
+  EXPECT_EQ(eng.get_or_create_comm(0, 0, 1, {0, 1}), a);
+  EXPECT_NE(eng.get_or_create_comm(0, 0, 2, {2, 3}), a);
+  EXPECT_THROW(eng.get_or_create_comm(0, 0, 1, {0, 2}), SimError);
+  EXPECT_THROW(eng.get_or_create_comm(0, 0, 1, {0, 1, 2}), SimError);
+}
+
+TEST(Engine, SubCommHandlesStayValidWhileEngineLives) {
+  // Handles taken early in a run are used after many more communicators
+  // were created (the engine's communicator table rehashes under them),
+  // after the run, and in a second run: a Comm stays valid as long as its
+  // engine, whatever else the engine creates meanwhile.
+  Engine eng(Machine({.num_nodes = 4, .regions_per_node = 2,
+                      .ranks_per_region = 4}),
+             CostParams::lassen(), Engine::Options{.threads = 4});
+  const int n = eng.machine().num_ranks();
+  std::vector<Comm> region(n), parity(n);
+  eng.run([&](Context& ctx) -> Task<> {
+    const int r = ctx.rank();
+    region[r] = co_await coll::split_by_region(ctx, ctx.world());
+    parity[r] = co_await coll::comm_split(ctx, ctx.world(), r % 2, r);
+    for (int i = 0; i < 40; ++i)
+      (void)co_await coll::comm_split(ctx, ctx.world(), (r + i) % 3, r);
+    const long sum = co_await coll::allreduce<long>(
+        ctx, region[r], static_cast<long>(r),
+        [](long a, long b) { return a + b; });
+    const int first = r - region[r].rank();
+    EXPECT_EQ(sum, 4L * first + 6);
+    co_await coll::barrier(ctx, parity[r]);
+  });
+  for (int r = 0; r < n; ++r) {
+    ASSERT_TRUE(region[r].valid());
+    EXPECT_EQ(region[r].size(), 4);
+    EXPECT_EQ(region[r].global(region[r].rank()), r);
+    EXPECT_EQ(parity[r].size(), n / 2);
+    EXPECT_EQ(parity[r].global(parity[r].rank()), r);
+    EXPECT_EQ(parity[r].id(), parity[r % 2].id());
+  }
+  eng.run([&](Context& ctx) -> Task<> {
+    const int r = ctx.rank();
+    const int members = co_await coll::allreduce<int>(
+        ctx, parity[r], 1, [](int a, int b) { return a + b; });
+    EXPECT_EQ(members, n / 2);
+  });
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -113,6 +115,123 @@ TEST(EngineThreads, StressScheduleBitIdenticalAcrossWidths) {
     }
     EXPECT_EQ(t.max_clock, base.max_clock);
   }
+}
+
+namespace {
+
+/// Shifting-ring exchanges with varying payloads plus an allreduce per
+/// round.  Every rank is re-woken each round, so phases as wide as the
+/// machine recur all run long, next to the narrower phases of the
+/// allreduce.  Each rank folds every byte it receives into `digest[rank]`.
+Task<> wide_phase_program(Context& ctx, std::vector<std::uint64_t>& digest) {
+  const int p = ctx.world().size();
+  const int r = ctx.rank();
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (int round = 0; round < 6; ++round) {
+    const int shift = 1 + (round * 7) % (p - 1);
+    const int dst = (r + shift) % p;
+    const int src = (r - shift + p) % p;
+    auto size_of = [&](int sender) {
+      return static_cast<std::size_t>(1 + (sender * 13 + round * 29) % 64);
+    };
+    std::vector<std::uint32_t> out(size_of(r));
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] = static_cast<std::uint32_t>(r * 1000003 + round * 7919) +
+               static_cast<std::uint32_t>(i);
+    std::vector<std::uint32_t> in(size_of(src));
+    auto s = Request::send(
+        ctx.world(),
+        std::as_bytes(std::span<const std::uint32_t>(out.data(), out.size())),
+        dst, round);
+    auto rr = Request::recv(
+        ctx.world(),
+        std::as_writable_bytes(std::span<std::uint32_t>(in.data(), in.size())),
+        src, round);
+    s.start(ctx);
+    rr.start(ctx);
+    co_await ctx.wait(s);
+    co_await ctx.wait(rr);
+    for (std::uint32_t v : in) mix(v);
+    ctx.compute(1e-7 * ((r * 3 + round) % 7));
+    const long sum = co_await coll::allreduce<long>(
+        ctx, ctx.world(), static_cast<long>(r * round),
+        [](long a, long b) { return a + b; });
+    mix(static_cast<std::uint64_t>(sum));
+  }
+  digest[static_cast<std::size_t>(r)] = h;
+}
+
+struct WideTrace {
+  std::vector<double> clocks;
+  std::vector<Engine::RankStats> stats;
+  std::vector<std::uint64_t> digest;
+  Engine::WorkCounters work;
+};
+
+/// wide_phase_program on `p` ranks (regions of up to 16 ranks, so every
+/// locality tier carries traffic) at engine width `threads`.
+WideTrace run_wide(int p, int threads) {
+  int per_region = 16;
+  while (p % per_region != 0) --per_region;
+  Engine eng(Machine({.num_nodes = p / per_region, .regions_per_node = 1,
+                      .ranks_per_region = per_region}),
+             CostParams::lassen(), Engine::Options{.threads = threads});
+  WideTrace t;
+  t.digest.assign(static_cast<std::size_t>(p), 0);
+  eng.run([&t](Context& ctx) { return wide_phase_program(ctx, t.digest); });
+  for (int r = 0; r < p; ++r) {
+    t.clocks.push_back(eng.clock(r));
+    t.stats.push_back(eng.stats(r));
+  }
+  t.work = eng.work();
+  return t;
+}
+
+}  // namespace
+
+TEST(EngineThreads, InlineBoundaryBitIdenticalAcrossWidths) {
+  // Phases of at most Engine::kInlinePhaseRanks ranks run inline, wider
+  // ones on the pool.  The first phase of a run resumes every rank, so
+  // these three machines put phases on both sides of the boundary and
+  // exactly on it; the schedule must not notice.
+  const int limit = static_cast<int>(Engine::kInlinePhaseRanks);
+  for (int p : {limit - 1, limit, limit + 1}) {
+    const WideTrace base = run_wide(p, 1);
+    EXPECT_GT(base.work.phase_width[std::bit_width(
+                  static_cast<unsigned>(p - 1))],
+              0u)
+        << "no phase of " << p << " ranks";
+    for (int threads : {2, 4, 7}) {
+      const WideTrace t = run_wide(p, threads);
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(std::memcmp(&t.clocks[r], &base.clocks[r], sizeof(double)),
+                  0)
+            << "clock of rank " << r << " diverged, p=" << p
+            << " threads=" << threads;
+        EXPECT_EQ(t.stats[r], base.stats[r])
+            << "stats of rank " << r << " diverged, p=" << p
+            << " threads=" << threads;
+      }
+      EXPECT_EQ(t.digest, base.digest)
+          << "payloads diverged, p=" << p << " threads=" << threads;
+    }
+  }
+}
+
+TEST(EngineThreads, WorkCountersIdenticalAcrossWidths) {
+  const int p = static_cast<int>(Engine::kInlinePhaseRanks) + 1;
+  const WideTrace base = run_wide(p, 1);
+  const Engine::WorkCounters& w = base.work;
+  std::uint64_t histogram_phases = 0;
+  for (std::uint64_t n : w.phase_width) histogram_phases += n;
+  EXPECT_EQ(histogram_phases, w.phases);
+  EXPECT_GE(w.resumes, w.phases);
+  std::uint64_t sent = 0;
+  for (const auto& s : base.stats) sent += s.total_msgs();
+  EXPECT_EQ(w.msgs_committed, sent);
+  for (int threads : {2, 4, 7})
+    EXPECT_EQ(run_wide(p, threads).work, w) << "threads=" << threads;
 }
 
 TEST(EngineThreads, NeighborStatsBitIdenticalAcrossWidths) {

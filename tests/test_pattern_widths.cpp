@@ -203,8 +203,9 @@ TEST(PatternWidths, DeliveredBytesMatchHostReference) {
       });
       for (int r = 0; r < p; ++r) {
         ASSERT_EQ(got[r].size(), expected[r].size()) << name << " rank " << r;
-        EXPECT_EQ(0, std::memcmp(got[r].data(), expected[r].data(),
-                                 got[r].size()))
+        EXPECT_TRUE(got[r].empty() ||
+                    std::memcmp(got[r].data(), expected[r].data(),
+                                got[r].size()) == 0)
             << name << " width " << w << " rank " << r;
       }
     }
