@@ -2,11 +2,12 @@
 /// \file bench_common.hpp
 /// \brief Shared scaffolding for the figure-reproduction benchmarks.
 ///
-/// Every binary regenerates one figure of the paper: it computes the data
-/// series on the simulated machine (cached across registered benchmarks),
-/// exposes each point as a google-benchmark counter (`sim_seconds` etc. —
-/// wall time of these benchmarks is meaningless; the simulator's virtual
-/// seconds are the measurement), and prints a paper-style table.  See
+/// Every binary regenerates one figure of the paper (bench_amg_figures:
+/// all of Figures 7-13) or an ablation: it computes the data series on the
+/// simulated machine (cached across registered benchmarks), exposes each
+/// point as a google-benchmark counter (`sim_seconds` etc. — wall time of
+/// these benchmarks is meaningless; the simulator's virtual seconds are the
+/// measurement), and prints paper-style tables.  See
 /// docs/BENCHMARKS.md for the figure-by-figure map and how to read the
 /// emitted BENCH_*.json.
 ///
@@ -31,6 +32,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -93,12 +95,24 @@ inline bool quick_mode() {
 inline int paper_ranks() { return quick_mode() ? kQuickMaxRanks : kPaperRanks; }
 
 /// Taper restriction of the link-contention benches: `--link-taper=T` /
-/// COLLOM_LINK_TAPER=T computes only the one ratio T; 0 (the default)
-/// keeps the full sweep.
+/// COLLOM_LINK_TAPER=T computes only the one ratio T; 0 (unset, the
+/// default) keeps the full sweep.  T must be a positive number: anything
+/// else is an error that ends the binary with exit status 2, rather than
+/// a silent full sweep.
 inline double link_taper_override() {
   static const double t = [] {
     const char* v = std::getenv("COLLOM_LINK_TAPER");
-    return v != nullptr ? std::atof(v) : 0.0;
+    if (v == nullptr) return 0.0;
+    char* end = nullptr;
+    const double r = std::strtod(v, &end);
+    if (end == v || *end != '\0' || !std::isfinite(r) || r <= 0.0) {
+      std::fprintf(stderr,
+                   "error: --link-taper / COLLOM_LINK_TAPER: '%s' is not a "
+                   "positive number\n",
+                   v);
+      std::exit(2);
+    }
+    return r;
   }();
   return t;
 }
@@ -107,13 +121,6 @@ inline double link_taper_override() {
 /// quick mode, the paper's 524288 rows otherwise).
 inline long paper_rows() {
   return quick_mode() ? kWeakRowsPerRank * paper_ranks() : kPaperRows;
-}
-
-/// Strong/weak scaling sweep (Figures 12/13).
-inline const std::vector<int>& scaling_ranks() {
-  static const std::vector<int> full{32, 64, 128, 256, 512, 1024, 2048};
-  static const std::vector<int> quick{32, 64, 128, 256};
-  return quick_mode() ? quick : full;
 }
 
 /// Graph-creation sweep (Figure 6).
@@ -144,35 +151,6 @@ inline harness::MeasureConfig paper_config() {
   cfg.ranks_per_region = kRanksPerRegion;
   cfg.plans = &plan_cache();
   return cfg;
-}
-
-/// Measurements of all four protocols for one problem instance.
-struct ProtocolSet {
-  std::vector<harness::LevelMeasurement> per[4];  // indexed by Protocol
-  const std::vector<harness::LevelMeasurement>& of(
-      harness::Protocol p) const {
-    return per[static_cast<int>(p)];
-  }
-};
-
-inline ProtocolSet measure_all(long rows, int nranks) {
-  // The plan cache would keep every sweep point's plans alive; clear it
-  // when the instance changes (mirrors the single-entry memoization of
-  // paper_dist_hierarchy).
-  static long cached_rows = -1;
-  static int cached_ranks = -1;
-  if (rows != cached_rows || nranks != cached_ranks) {
-    plan_cache().clear();
-    cached_rows = rows;
-    cached_ranks = nranks;
-  }
-  const auto cfg = paper_config();
-  const auto& dh =
-      harness::paper_dist_hierarchy(rows, nranks, cfg.build_threads);
-  ProtocolSet s;
-  for (harness::Protocol p : harness::kAllProtocols)
-    s.per[static_cast<int>(p)] = harness::measure_protocol(dh, p, cfg);
-  return s;
 }
 
 }  // namespace benchfig

@@ -244,7 +244,9 @@ HierarchyCache* HierarchyCache::global() {
   // The mutex and sequence-counter members make the class immovable, so the
   // instance is emplaced in place inside the once-guarded initializer.
   static HierarchyCache* inst = []() -> HierarchyCache* {
-    // Read-only env lookups; nothing in this process calls setenv().
+    // Read-only env lookups.  Safe because every setenv() of these
+    // variables (a test, the hostbench driver) runs while no other thread
+    // does.
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
     if (const char* v = std::getenv("COLLOM_HIER_CACHE"))
       if (std::string_view(v) == "0" || std::string_view(v) == "off")

@@ -60,10 +60,10 @@ struct MeasureConfig {
   /// Worker threads of hierarchy *construction* (amg::Options::threads:
   /// 0 = auto via COLLOM_BUILD_THREADS, else COLLOM_SIM_THREADS, else
   /// hardware).  The measure/solve runners never build hierarchies
-  /// themselves — callers that do (e.g. benchfig::measure_all) forward
-  /// this to paper_dist_hierarchy.  Wall-time-only: built hierarchies are
-  /// bit-identical for every width, so measured results never depend on
-  /// it.
+  /// themselves — callers that do (e.g. measure_all in
+  /// bench/bench_amg_figures.cpp) forward this to paper_dist_hierarchy.
+  /// Wall-time-only: built hierarchies are bit-identical for every width,
+  /// so measured results never depend on it.
   int build_threads = 0;
   simmpi::GraphAlgo graph_algo = simmpi::GraphAlgo::handshake;
   bool verify_payload = true;  ///< check delivered halos against truth
@@ -188,13 +188,17 @@ double total_time(const std::vector<LevelMeasurement>& self,
 int crossover_iterations(double base_init, double base_iter, double opt_init,
                          double opt_iter, int max_iters = 100000);
 
-/// Build (and memoize per (rows, options)) the canonical hierarchy of the
-/// paper's rotated anisotropic diffusion problem with `rows` unknowns.
+/// Build the canonical hierarchy of the paper's rotated anisotropic
+/// diffusion problem with `rows` unknowns.  Memoized in a single entry
+/// keyed by `rows` alone: a call with other rows replaces it.
 /// `build_threads` sets the construction width (0 = auto, see
-/// MeasureConfig::build_threads); it never changes the built hierarchy.
+/// MeasureConfig::build_threads); it never changes the built hierarchy,
+/// so it is not part of the key.
 const amg::Hierarchy& paper_hierarchy(long rows, int build_threads = 0);
 
-/// Memoized distribution of the paper hierarchy over `nranks`.
+/// Distribution of the paper hierarchy over `nranks`, memoized in a single
+/// entry keyed by (rows, nranks) and backed by the HierarchyCache disk
+/// cache.
 const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
                                                int build_threads = 0);
 

@@ -10,7 +10,9 @@ int resolve_threads(int requested,
   int t = requested;
   if (t <= 0) {
     for (const char* var : env_vars) {
-      // Read-only env lookup; nothing in this process calls setenv().
+      // Read-only env lookup.  Safe because every setenv() of these
+      // variables (benchfig::init, the hostbench driver, a few tests)
+      // runs while no other thread does.
       // NOLINTNEXTLINE(concurrency-mt-unsafe)
       if (const char* env = std::getenv(var)) {
         t = std::atoi(env);

@@ -123,6 +123,48 @@ TEST(PlanCache, MeasureProtocolReusesPlansAcrossRuns) {
   EXPECT_LT(warm_init, cold_init);
 }
 
+TEST(PlanCache, ClearedCacheMeasuresLikeAFreshOne) {
+  // The premise of measuring each bench instance once per process and
+  // sharing the result: after clear(), a measurement is bit-identical to
+  // one in a fresh cache, whatever the process measured before.  Each
+  // pass runs all four protocols in order, as the figure benches do.
+  const auto a = small_dist(16);
+  const auto b = small_dist(8, 24, 24);
+  auto measure_all = [](const amg::DistHierarchy& dh, PlanCache& cache) {
+    std::vector<std::vector<LevelMeasurement>> out;
+    for (Protocol p : kAllProtocols)
+      out.push_back(measure_protocol(dh, p, cached_cfg(&cache)));
+    return out;
+  };
+  PlanCache fresh;
+  const auto expected = measure_all(a, fresh);
+
+  PlanCache cache;
+  measure_all(a, cache);
+  measure_all(b, cache);
+  cache.clear();
+  const auto got = measure_all(a, cache);
+
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    ASSERT_EQ(got[p].size(), expected[p].size());
+    for (std::size_t l = 0; l < got[p].size(); ++l) {
+      const LevelMeasurement& g = got[p][l];
+      const LevelMeasurement& e = expected[p][l];
+      SCOPED_TRACE(testing::Message() << "protocol " << p << " level " << l);
+      EXPECT_EQ(g.level, e.level);
+      EXPECT_EQ(g.rows, e.rows);
+      EXPECT_EQ(g.init_seconds, e.init_seconds);
+      EXPECT_EQ(g.start_wait_seconds, e.start_wait_seconds);
+      EXPECT_EQ(g.max_local_msgs, e.max_local_msgs);
+      EXPECT_EQ(g.max_global_msgs, e.max_global_msgs);
+      EXPECT_EQ(g.max_global_msg_values, e.max_global_msg_values);
+      EXPECT_EQ(g.max_local_values, e.max_local_values);
+      EXPECT_EQ(g.max_global_values, e.max_global_values);
+    }
+  }
+}
+
 TEST(PlanCache, DistinctMethodsAndStrategiesDoNotCollide) {
   auto dh = small_dist(16);
   PlanCache cache;
