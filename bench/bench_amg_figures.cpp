@@ -23,6 +23,8 @@
 /// Figures 12 and 13 — is simulated once per run.
 
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "bench_common.hpp"
@@ -70,6 +72,20 @@ const ProtocolSet& measure_all(long rows, int nranks) {
   return it->second;
 }
 
+/// Families that ran in this process.  A table is printed only when one of
+/// its families ran, so a `--benchmark_filter` run measures only the
+/// instances its families read.
+std::set<std::string>& ran() {
+  static std::set<std::string> families;
+  return families;
+}
+
+bool any_ran(std::initializer_list<const char*> families) {
+  for (const char* f : families)
+    if (ran().count(f)) return true;
+  return false;
+}
+
 const ProtocolSet& paper_set() {
   return measure_all(paper_rows(), paper_ranks());
 }
@@ -106,6 +122,7 @@ int crossover_vs_hypre(const Sums& s, Protocol opt) {
 }
 
 void BM_InitPlusIterations(benchmark::State& state) {
+  ran().insert("BM_InitPlusIterations");
   const Sums s = paper_sums();
   const int p = static_cast<int>(state.range(0));
   for (auto _ : state) benchmark::DoNotOptimize(p);
@@ -115,6 +132,7 @@ void BM_InitPlusIterations(benchmark::State& state) {
 }
 
 void BM_Crossover(benchmark::State& state) {
+  ran().insert("BM_Crossover");
   const Sums s = paper_sums();
   for (auto _ : state) benchmark::DoNotOptimize(s.init[0]);
   state.counters["crossover_partial_iters"] =
@@ -221,6 +239,7 @@ void register_level_figure(const LevelFigure& f) {
   benchmark::RegisterBenchmark(
       f.bench,
       [&f](benchmark::State& state) {
+        ran().insert(f.bench);
         const auto l = static_cast<std::size_t>(state.range(0));
         const Line& line = f.lines[static_cast<std::size_t>(state.range(1))];
         const auto& per = paper_set().of(line.protocol);
@@ -285,6 +304,7 @@ void register_scaling_figure(const ScalingFigure& f) {
   benchmark::RegisterBenchmark(
       f.bench,
       [&f](benchmark::State& state) {
+        ran().insert(f.bench);
         const int procs =
             scaling_ranks()[static_cast<std::size_t>(state.range(0))];
         const auto p = static_cast<Protocol>(state.range(1));
@@ -332,9 +352,11 @@ int main(int argc, char** argv) {
   for (const ScalingFigure& f : kScalingFigures) register_scaling_figure(f);
   benchmark::RunSpecifiedBenchmarks();
 
-  print_fig07();
-  for (const LevelFigure& f : kLevelFigures) print_level_figure(f);
-  for (const ScalingFigure& f : kScalingFigures) print_scaling_figure(f);
+  if (any_ran({"BM_InitPlusIterations", "BM_Crossover"})) print_fig07();
+  for (const LevelFigure& f : kLevelFigures)
+    if (any_ran({f.bench})) print_level_figure(f);
+  for (const ScalingFigure& f : kScalingFigures)
+    if (any_ran({f.bench})) print_scaling_figure(f);
   benchmark::Shutdown();
   return 0;
 }

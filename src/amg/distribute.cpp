@@ -17,8 +17,9 @@ DistHierarchy distribute_hierarchy(const Hierarchy& h, int nranks) {
   std::iota(perm.begin(), perm.end(), 0);
   std::vector<long> part = sparse::block_partition(h.levels[0].n(), nranks);
 
-  // Renumbering inherits the hierarchy's construction-thread knob (the
-  // permuted outputs are bit-identical for every width).
+  // Renumbering, slicing and halo derivation inherit the hierarchy's
+  // construction-thread knob (their outputs are bit-identical for every
+  // width).
   const sparse::Threads bt{h.options.threads};
 
   for (int l = 0; l < h.num_levels(); ++l) {
@@ -28,8 +29,8 @@ DistHierarchy distribute_hierarchy(const Hierarchy& h, int nranks) {
 
     const sparse::Csr A_dist =
         l == 0 ? lvl.A : lvl.A.permuted(perm, perm, bt);
-    dl.A = sparse::ParCsr::distribute(A_dist, part, part);
-    dl.halo = sparse::Halo::build(dl.A);
+    dl.A = sparse::ParCsr::distribute(A_dist, part, part, bt);
+    dl.halo = sparse::Halo::build(dl.A, bt);
 
     if (lvl.is_coarsest() || l + 1 >= h.num_levels()) break;
 
@@ -56,10 +57,10 @@ DistHierarchy distribute_hierarchy(const Hierarchy& h, int nranks) {
 
     const sparse::Csr P_dist = lvl.P.permuted(perm, coarse_perm, bt);
     const sparse::Csr R_dist = lvl.R.permuted(coarse_perm, perm, bt);
-    dl.P = sparse::ParCsr::distribute(P_dist, part, coarse_part);
-    dl.halo_P = sparse::Halo::build(dl.P);
-    dl.R = sparse::ParCsr::distribute(R_dist, coarse_part, part);
-    dl.halo_R = sparse::Halo::build(dl.R);
+    dl.P = sparse::ParCsr::distribute(P_dist, part, coarse_part, bt);
+    dl.halo_P = sparse::Halo::build(dl.P, bt);
+    dl.R = sparse::ParCsr::distribute(R_dist, coarse_part, part, bt);
+    dl.halo_R = sparse::Halo::build(dl.R, bt);
 
     perm = std::move(coarse_perm);
     part = std::move(coarse_part);

@@ -45,7 +45,9 @@ struct DistHierarchy {
 };
 
 /// Distribute a canonical hierarchy over `nranks` ranks (block partition of
-/// the fine grid; inherited ownership below).
+/// the fine grid; inherited ownership below).  Renumbering, slicing and
+/// halo derivation run on `h.options.threads` workers; every width gives
+/// identical bytes.
 DistHierarchy distribute_hierarchy(const Hierarchy& h, int nranks);
 
 }  // namespace amg

@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "simmpi/dist_graph.hpp"
+#include "util/hash.hpp"
 
 namespace harness {
 
@@ -156,18 +157,20 @@ class NeighborExchange final : public HaloExchange {
   std::unique_ptr<mpix::NeighborAlltoallv> coll_;
 };
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xffu;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+/// Mix one whole 64-bit word into `h`: an FNV-1a step over the word rather
+/// than its bytes, then an xor-shift that carries high input bits into the
+/// low key bits.  Both halves are bijections of `h`, so two equal-length
+/// inputs that differ in a single word never collide.  Keys are in-process
+/// PlanCache keys only, never persisted, so their values may change.
+std::uint64_t mix_word(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * util::kFnvPrime;
+  return h ^ (h >> 32);
 }
 
 template <class T>
-std::uint64_t fnv_mix_vec(std::uint64_t h, const std::vector<T>& v) {
-  h = fnv_mix(h, v.size());
-  for (const T& x : v) h = fnv_mix(h, static_cast<std::uint64_t>(x));
+std::uint64_t mix_vec(std::uint64_t h, const std::vector<T>& v) {
+  h = mix_word(h, v.size());
+  for (const T& x : v) h = mix_word(h, static_cast<std::uint64_t>(x));
   return h;
 }
 
@@ -178,18 +181,18 @@ std::uint64_t fnv_mix_vec(std::uint64_t h, const std::vector<T>& v) {
 /// the full membership fingerprint baked into it and throws on mismatch.
 std::uint64_t cache_key(std::uint64_t pattern_key, mpix::Method method,
                         bool lpt, const simmpi::Comm& comm) {
-  std::uint64_t h = fnv_mix(pattern_key, static_cast<std::uint64_t>(method));
-  h = fnv_mix(h, lpt ? 1 : 0);
+  std::uint64_t h = mix_word(pattern_key, static_cast<std::uint64_t>(method));
+  h = mix_word(h, lpt ? 1 : 0);
   const auto& machine = comm.engine().machine();
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_ranks()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.ranks_per_node()));
-  h = fnv_mix(h, static_cast<std::uint64_t>(comm.size()));
+  h = mix_word(h, static_cast<std::uint64_t>(machine.num_ranks()));
+  h = mix_word(h, static_cast<std::uint64_t>(machine.ranks_per_region()));
+  h = mix_word(h, static_cast<std::uint64_t>(machine.ranks_per_node()));
+  h = mix_word(h, static_cast<std::uint64_t>(comm.size()));
   // Switch-hierarchy radixes (not tapers: those never change a plan), so
   // plans built on different tree shapes get distinct keys.
-  h = fnv_mix(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
+  h = mix_word(h, static_cast<std::uint64_t>(machine.num_switch_levels()));
   for (const simmpi::SwitchLevel& lvl : machine.config().switch_levels)
-    h = fnv_mix(h, static_cast<std::uint64_t>(lvl.radix));
+    h = mix_word(h, static_cast<std::uint64_t>(lvl.radix));
   return h;
 }
 
@@ -220,16 +223,15 @@ void PlanCache::put(std::uint64_t key, int rank,
 }
 
 std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
-  h = fnv_mix(h, halo.ranks.size());
+  std::uint64_t h = mix_word(util::kFnvOffsetBasis, halo.ranks.size());
   for (const sparse::RankHalo& r : halo.ranks) {
-    h = fnv_mix_vec(h, r.recv_ranks);
-    h = fnv_mix_vec(h, r.recv_counts);
-    h = fnv_mix_vec(h, r.send_ranks);
-    h = fnv_mix_vec(h, r.send_counts);
-    h = fnv_mix_vec(h, r.send_idx);
-    h = fnv_mix_vec(h, r.send_gids);
-    h = fnv_mix_vec(h, r.recv_gids);
+    h = mix_vec(h, r.recv_ranks);
+    h = mix_vec(h, r.recv_counts);
+    h = mix_vec(h, r.send_ranks);
+    h = mix_vec(h, r.send_counts);
+    h = mix_vec(h, r.send_idx);
+    h = mix_vec(h, r.send_gids);
+    h = mix_vec(h, r.recv_gids);
   }
   return h;
 }

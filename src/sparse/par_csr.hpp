@@ -45,9 +45,11 @@ struct ParCsr {
 
   int num_ranks() const { return static_cast<int>(ranks.size()); }
 
-  /// Split a global matrix across ranks by the given partitions.
+  /// Split a global matrix across ranks by the given partitions.  Slices
+  /// are built rank-parallel over `threads` workers; every width produces
+  /// identical bytes.
   static ParCsr distribute(const Csr& A, std::vector<long> row_part,
-                           std::vector<long> col_part);
+                           std::vector<long> col_part, Threads threads = {});
 
   /// Reassemble the global matrix (testing aid).
   Csr gather() const;
@@ -84,7 +86,10 @@ struct RankHalo {
 /// Halo patterns of all ranks of a ParCsr.
 struct Halo {
   std::vector<RankHalo> ranks;
-  static Halo build(const ParCsr& A);
+  /// Derive every rank's halo from the offd footprints; rank-parallel over
+  /// `threads` workers, identical bytes at every width.  Throws
+  /// sparse::Error if an offd column is owned by the local rank.
+  static Halo build(const ParCsr& A, Threads threads = {});
 
   bool operator==(const Halo&) const = default;
 };

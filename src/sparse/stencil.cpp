@@ -1,31 +1,47 @@
 #include "sparse/stencil.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace sparse {
 
 namespace {
 
 /// Generic 2D stencil application: offsets and weights, Dirichlet boundary.
+/// Rows are assembled in place: with the (distinct) offsets visited in
+/// (dy, dx) order, the in-grid neighbors of every row come out in ascending
+/// column order, because a column is (y + dy) * nx + (x + dx) with
+/// 0 <= x + dx < nx.
 Csr stencil_2d(int nx, int ny, std::span<const int> dx,
                std::span<const int> dy, std::span<const double> w) {
   if (nx < 1 || ny < 1) throw Error("stencil_2d: grid must be at least 1x1");
   const int n = nx * ny;
-  std::vector<Triplet> tr;
-  tr.reserve(static_cast<std::size_t>(n) * w.size());
+  std::vector<std::size_t> order(w.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return dy[a] != dy[b] ? dy[a] < dy[b] : dx[a] < dx[b];
+  });
+  std::vector<long> rowptr(n + 1, 0);
+  std::vector<int> colind;
+  std::vector<double> vals;
+  colind.reserve(static_cast<std::size_t>(n) * w.size());
+  vals.reserve(static_cast<std::size_t>(n) * w.size());
   for (int y = 0; y < ny; ++y) {
     for (int x = 0; x < nx; ++x) {
-      const int row = grid_index(nx, x, y);
-      for (std::size_t s = 0; s < w.size(); ++s) {
+      for (std::size_t s : order) {
         const int xx = x + dx[s];
         const int yy = y + dy[s];
         if (xx < 0 || xx >= nx || yy < 0 || yy >= ny) continue;
         if (w[s] == 0.0) continue;
-        tr.push_back(Triplet{row, grid_index(nx, xx, yy), w[s]});
+        colind.push_back(grid_index(nx, xx, yy));
+        vals.push_back(w[s]);
       }
+      rowptr[grid_index(nx, x, y) + 1] = static_cast<long>(colind.size());
     }
   }
-  return Csr::from_triplets(n, n, std::move(tr));
+  return Csr::from_raw(n, n, std::move(rowptr), std::move(colind),
+                       std::move(vals));
 }
 
 }  // namespace
@@ -48,13 +64,17 @@ Csr laplacian_27pt(int nx, int ny, int nz) {
   if (nx < 1 || ny < 1 || nz < 1)
     throw Error("laplacian_27pt: grid must be at least 1x1x1");
   const long n = static_cast<long>(nx) * ny * nz;
-  std::vector<Triplet> tr;
-  tr.reserve(static_cast<std::size_t>(n) * 27);
+  std::vector<long> rowptr(n + 1, 0);
+  std::vector<int> colind;
+  std::vector<double> vals;
+  colind.reserve(static_cast<std::size_t>(n) * 27);
+  vals.reserve(static_cast<std::size_t>(n) * 27);
   auto idx = [&](int x, int y, int z) { return (z * ny + y) * nx + x; };
+  // Neighbors are visited z-major, then y, then x — ascending columns, so
+  // each row is assembled in place.
   for (int z = 0; z < nz; ++z)
     for (int y = 0; y < ny; ++y)
       for (int x = 0; x < nx; ++x) {
-        const int row = idx(x, y, z);
         for (int dz = -1; dz <= 1; ++dz)
           for (int dy = -1; dy <= 1; ++dy)
             for (int dx = -1; dx <= 1; ++dx) {
@@ -64,11 +84,13 @@ Csr laplacian_27pt(int nx, int ny, int nz) {
                 continue;
               const double w =
                   (dx == 0 && dy == 0 && dz == 0) ? 26.0 : -1.0;
-              tr.push_back(Triplet{row, idx(xx, yy, zz), w});
+              colind.push_back(idx(xx, yy, zz));
+              vals.push_back(w);
             }
+        rowptr[idx(x, y, z) + 1] = static_cast<long>(colind.size());
       }
-  return Csr::from_triplets(static_cast<int>(n), static_cast<int>(n),
-                            std::move(tr));
+  return Csr::from_raw(static_cast<int>(n), static_cast<int>(n),
+                       std::move(rowptr), std::move(colind), std::move(vals));
 }
 
 Csr rotated_aniso_7pt(int nx, int ny, double theta, double eps) {

@@ -87,6 +87,10 @@ TEST(PlanCache, FingerprintIdentifiesGlobalPatterns) {
   EXPECT_EQ(pattern_fingerprint(h1), pattern_fingerprint(h2));
   EXPECT_NE(pattern_fingerprint(h1), pattern_fingerprint(h3));
   EXPECT_NE(pattern_fingerprint(h1), pattern_fingerprint(h4));
+  // One send gid differs, every count and length stays the same.
+  auto h5 = h1;
+  h5.ranks[3].send_gids[0] += 1;
+  EXPECT_NE(pattern_fingerprint(h1), pattern_fingerprint(h5));
 }
 
 TEST(PlanCache, MeasureProtocolReusesPlansAcrossRuns) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,8 @@
 #include "amg/strength.hpp"
 #include "harness/hierarchy_cache.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/par_csr.hpp"
+#include "sparse/partition.hpp"
 #include "sparse/stencil.hpp"
 
 namespace fs = std::filesystem;
@@ -42,6 +45,7 @@ void expect_bytes_identical(const Csr& a, const Csr& b, const char* what,
                         a.rowptr().size_bytes()),
             0)
       << what << ": rowptr bytes diverged at width " << width;
+  if (a.nnz() == 0) return;  // empty arrays may have a null data()
   EXPECT_EQ(std::memcmp(a.colind().data(), b.colind().data(),
                         a.colind().size_bytes()),
             0)
@@ -173,4 +177,176 @@ TEST(SparseThreads, HierarchyCacheFilesIdenticalAcrossWidths) {
   for (int w : kWidths)
     EXPECT_EQ(file_bytes(w), base)
         << "cache file (checksummed payload) diverged at width " << w;
+}
+
+namespace {
+
+/// The triplet-based split that ParCsr::distribute replaced: per rank,
+/// collect the diag/offd entries as triplets and assemble them with
+/// Csr::from_triplets (sort + duplicate merge).
+sparse::ParCsr reference_distribute(const Csr& a, std::vector<long> row_part,
+                                    std::vector<long> col_part) {
+  sparse::ParCsr out;
+  out.global_rows = a.rows();
+  out.global_cols = a.cols();
+  const int p = static_cast<int>(row_part.size()) - 1;
+  out.ranks.resize(p);
+  for (int r = 0; r < p; ++r) {
+    sparse::ParCsrRank& slice = out.ranks[r];
+    const long r0 = row_part[r], r1 = row_part[r + 1];
+    const long c0 = col_part[r], c1 = col_part[r + 1];
+    slice.first_row = r0;
+    slice.first_col = c0;
+    std::vector<long>& offd = slice.col_map_offd;
+    for (long row = r0; row < r1; ++row)
+      for (int c : a.row_cols(static_cast<int>(row)))
+        if (c < c0 || c >= c1) offd.push_back(c);
+    std::sort(offd.begin(), offd.end());
+    offd.erase(std::unique(offd.begin(), offd.end()), offd.end());
+    std::vector<sparse::Triplet> diag_tr, offd_tr;
+    for (long row = r0; row < r1; ++row) {
+      const int lr = static_cast<int>(row - r0);
+      auto cols = a.row_cols(static_cast<int>(row));
+      auto vals = a.row_vals(static_cast<int>(row));
+      for (std::size_t k = 0; k < cols.size(); ++k) {
+        if (cols[k] >= c0 && cols[k] < c1) {
+          diag_tr.push_back({lr, static_cast<int>(cols[k] - c0), vals[k]});
+        } else {
+          const auto it = std::lower_bound(offd.begin(), offd.end(), cols[k]);
+          offd_tr.push_back({lr, static_cast<int>(it - offd.begin()),
+                             vals[k]});
+        }
+      }
+    }
+    slice.diag = Csr::from_triplets(static_cast<int>(r1 - r0),
+                                    static_cast<int>(c1 - c0),
+                                    std::move(diag_tr));
+    slice.offd = Csr::from_triplets(static_cast<int>(r1 - r0),
+                                    static_cast<int>(offd.size()),
+                                    std::move(offd_tr));
+  }
+  out.row_part = std::move(row_part);
+  out.col_part = std::move(col_part);
+  return out;
+}
+
+/// The serial halo derivation Halo::build replaced: receive lists from
+/// each rank's offd footprint, send lists by inverting them in ascending
+/// receiver order.
+sparse::Halo reference_halo(const sparse::ParCsr& a) {
+  const int p = a.num_ranks();
+  sparse::Halo h;
+  h.ranks.resize(p);
+  for (int q = 0; q < p; ++q) {
+    sparse::RankHalo& hq = h.ranks[q];
+    hq.recv_gids = a.ranks[q].col_map_offd;
+    for (long gid : hq.recv_gids) {
+      const int owner = sparse::owner_of(a.col_part, gid);
+      if (hq.recv_ranks.empty() || hq.recv_ranks.back() != owner) {
+        hq.recv_ranks.push_back(owner);
+        hq.recv_counts.push_back(0);
+      }
+      ++hq.recv_counts.back();
+    }
+  }
+  for (int q = 0; q < p; ++q) {
+    long pos = 0;
+    for (std::size_t i = 0; i < h.ranks[q].recv_ranks.size(); ++i) {
+      const int s = h.ranks[q].recv_ranks[i];
+      sparse::RankHalo& hs = h.ranks[s];
+      hs.send_ranks.push_back(q);
+      hs.send_counts.push_back(h.ranks[q].recv_counts[i]);
+      for (int k = 0; k < h.ranks[q].recv_counts[i]; ++k) {
+        const long gid = h.ranks[q].recv_gids[pos++];
+        hs.send_idx.push_back(static_cast<int>(gid - a.col_part[s]));
+        hs.send_gids.push_back(gid);
+      }
+    }
+  }
+  return h;
+}
+
+void expect_split_identical(const sparse::ParCsr& a, const sparse::ParCsr& b,
+                            const char* what, int width) {
+  ASSERT_EQ(a.num_ranks(), b.num_ranks()) << what << " width " << width;
+  for (int r = 0; r < a.num_ranks(); ++r) {
+    expect_bytes_identical(a.ranks[r].diag, b.ranks[r].diag, what, width);
+    expect_bytes_identical(a.ranks[r].offd, b.ranks[r].offd, what, width);
+  }
+  EXPECT_EQ(a, b) << what << ": ParCsr diverged at width " << width;
+}
+
+}  // namespace
+
+TEST(SparseThreads, DistributeAndHaloBitIdenticalAcrossWidths) {
+  struct Case {
+    const char* what;
+    Csr a;
+    std::vector<long> row_part, col_part;
+  };
+  std::vector<Case> cases;
+  // More ranks than rows: ranks 6..9 own nothing.
+  {
+    const Csr a = sparse::paper_problem(3, 2);
+    const auto part = sparse::block_partition(a.rows(), 10);
+    cases.push_back({"empty ranks", a, part, part});
+  }
+  // Rectangular P- and R-shaped splits whose coarse partition gives some
+  // ranks no columns (P) or no rows (R).
+  {
+    const Csr a = test_matrix();
+    const Csr s = amg::strength(a, 0.25, Threads{1});
+    const Csr p = amg::direct_interpolation(
+        a, s, amg::coarsen(s, amg::CoarsenAlgo::rs), 4, Threads{1});
+    const int nranks = 9;
+    std::vector<int> counts(nranks, 0);
+    for (int r = 0; r < nranks; r += 2) counts[r] = p.cols() / 5;
+    counts[nranks - 1] = p.cols() - 4 * (p.cols() / 5);
+    const auto fine = sparse::block_partition(a.rows(), nranks);
+    const auto coarse = sparse::partition_from_counts(counts);
+    cases.push_back({"P split", p, fine, coarse});
+    cases.push_back({"R split", p.transpose(), coarse, fine});
+  }
+  // A matrix with an empty row.
+  {
+    const Csr base = sparse::laplacian_9pt(7, 5);
+    std::vector<sparse::Triplet> tr;
+    for (int r = 0; r < base.rows(); ++r) {
+      if (r == 17) continue;
+      auto cols = base.row_cols(r);
+      auto vals = base.row_vals(r);
+      for (std::size_t k = 0; k < cols.size(); ++k)
+        tr.push_back({r, cols[k], vals[k]});
+    }
+    const Csr a = Csr::from_triplets(base.rows(), base.cols(), std::move(tr));
+    const auto part = sparse::block_partition(a.rows(), 4);
+    cases.push_back({"empty row", a, part, part});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const sparse::ParCsr ref = reference_distribute(c.a, c.row_part,
+                                                    c.col_part);
+    const sparse::ParCsr base =
+        sparse::ParCsr::distribute(c.a, c.row_part, c.col_part, Threads{1});
+    expect_split_identical(ref, base, "distribute vs triplet reference", 1);
+    EXPECT_EQ(sparse::Halo::build(base, Threads{1}), reference_halo(ref));
+    const sparse::Halo base_halo = sparse::Halo::build(base, Threads{1});
+    for (int w : kWidths) {
+      const sparse::ParCsr dw =
+          sparse::ParCsr::distribute(c.a, c.row_part, c.col_part, Threads{w});
+      expect_split_identical(base, dw, "distribute", w);
+      EXPECT_EQ(sparse::Halo::build(dw, Threads{w}), base_halo)
+          << "halo diverged at width " << w;
+    }
+  }
+
+  // The local-ownership check still fires from a worker: give the last
+  // rank an offd column it owns itself.
+  const Csr a = test_matrix();
+  const auto part = sparse::block_partition(a.rows(), 16);
+  sparse::ParCsr bad = sparse::ParCsr::distribute(a, part, part, Threads{4});
+  auto& cmap = bad.ranks.back().col_map_offd;
+  cmap.insert(std::lower_bound(cmap.begin(), cmap.end(), part[15]), part[15]);
+  EXPECT_THROW(sparse::Halo::build(bad, Threads{4}), sparse::Error);
 }

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "sparse/stencil.hpp"
 
@@ -128,4 +130,77 @@ TEST(Stencil, RejectsDegenerateGrids) {
   EXPECT_THROW(laplacian_5pt(0, 3), Error);
   EXPECT_THROW(rotated_aniso_7pt(-1, 3, 0.0, 1.0), Error);
   EXPECT_THROW(laplacian_27pt(2, 0, 2), Error);
+}
+
+namespace {
+
+/// Triplet-assembled reference of a 2-D stencil (Dirichlet boundary, zero
+/// weights dropped): the builders must produce exactly this matrix.
+Csr reference_2d(int nx, int ny, std::span<const int> dx,
+                 std::span<const int> dy, std::span<const double> w) {
+  std::vector<Triplet> tr;
+  for (int y = 0; y < ny; ++y)
+    for (int x = 0; x < nx; ++x)
+      for (std::size_t s = 0; s < w.size(); ++s) {
+        const int xx = x + dx[s], yy = y + dy[s];
+        if (xx < 0 || xx >= nx || yy < 0 || yy >= ny || w[s] == 0.0) continue;
+        tr.push_back(Triplet{grid_index(nx, x, y), grid_index(nx, xx, yy),
+                             w[s]});
+      }
+  return Csr::from_triplets(nx * ny, nx * ny, std::move(tr));
+}
+
+Csr reference_27pt(int nx, int ny, int nz) {
+  const int n = nx * ny * nz;
+  auto idx = [&](int x, int y, int z) { return (z * ny + y) * nx + x; };
+  std::vector<Triplet> tr;
+  for (int z = 0; z < nz; ++z)
+    for (int y = 0; y < ny; ++y)
+      for (int x = 0; x < nx; ++x)
+        for (int dz = 1; dz >= -1; --dz)  // reversed: assembly order is free
+          for (int dy = 1; dy >= -1; --dy)
+            for (int dx = 1; dx >= -1; --dx) {
+              const int xx = x + dx, yy = y + dy, zz = z + dz;
+              if (xx < 0 || xx >= nx || yy < 0 || yy >= ny || zz < 0 ||
+                  zz >= nz)
+                continue;
+              const bool centre = dx == 0 && dy == 0 && dz == 0;
+              tr.push_back(Triplet{idx(x, y, z), idx(xx, yy, zz),
+                                   centre ? 26.0 : -1.0});
+            }
+  return Csr::from_triplets(n, n, std::move(tr));
+}
+
+}  // namespace
+
+TEST(Stencil, RowAssembledBuildersMatchTripletReference) {
+  const int dx5[] = {0, -1, 1, 0, 0};
+  const int dy5[] = {0, 0, 0, -1, 1};
+  const double w5[] = {4.0, -1.0, -1.0, -1.0, -1.0};
+  const int dx9[] = {0, -1, 1, 0, 0, -1, 1, -1, 1};
+  const int dy9[] = {0, 0, 0, -1, 1, -1, -1, 1, 1};
+  const double w9[] = {8.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0};
+  // rotated_aniso_7pt(theta = 0.7, eps = 0.01), offsets in the builder's
+  // (unsorted) order.
+  const double cs = std::cos(0.7), sn = std::sin(0.7), eps = 0.01;
+  const double cx = cs * cs + eps * sn * sn, cy = sn * sn + eps * cs * cs;
+  const double cxy = 2.0 * (1.0 - eps) * cs * sn;
+  const int dx7[] = {0, 1, -1, 0, 0, 1, -1};
+  const int dy7[] = {0, 0, 0, 1, -1, 1, -1};
+  const double w7[] = {2 * cx + 2 * cy - cxy, -cx + cxy / 2, -cx + cxy / 2,
+                       -cy + cxy / 2,         -cy + cxy / 2, -cxy / 2,
+                       -cxy / 2};
+  const int grids[][2] = {{1, 1}, {1, 5}, {5, 1}, {8, 6}};
+  for (const auto& g : grids) {
+    const int nx = g[0], ny = g[1];
+    EXPECT_EQ(laplacian_5pt(nx, ny), reference_2d(nx, ny, dx5, dy5, w5))
+        << nx << "x" << ny;
+    EXPECT_EQ(laplacian_9pt(nx, ny), reference_2d(nx, ny, dx9, dy9, w9))
+        << nx << "x" << ny;
+    EXPECT_EQ(rotated_aniso_7pt(nx, ny, 0.7, eps),
+              reference_2d(nx, ny, dx7, dy7, w7))
+        << nx << "x" << ny;
+  }
+  EXPECT_EQ(laplacian_27pt(1, 1, 1), reference_27pt(1, 1, 1));
+  EXPECT_EQ(laplacian_27pt(4, 3, 2), reference_27pt(4, 3, 2));
 }
