@@ -24,11 +24,11 @@
 ///  * `--link-taper=T` / `COLLOM_LINK_TAPER=T` restricts the link-
 ///    contention benches (bench_link_taper) to the one taper ratio T
 ///    instead of their full {1, 2, 4} sweep (this one changes *which*
-///    points are computed, not their values);
-///  * the hierarchy disk cache (`COLLOM_HIER_CACHE[_DIR]`, plus the
-///    `COLLOM_HIER_CACHE_MAX_BYTES` size cap — see harness::
-///    HierarchyCache) lets the binaries share built hierarchies under
-///    build/hier-cache instead of each re-running the coarsening.
+///    points are computed, not their values).
+///
+/// Each binary builds the paper hierarchy itself; within a process the
+/// `harness::paper_hierarchy` / `paper_dist_hierarchy` memos share it
+/// across registered benchmarks.
 
 #include <benchmark/benchmark.h>
 

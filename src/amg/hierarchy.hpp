@@ -29,8 +29,8 @@ struct Options {
   /// transpose, Galerkin SpGEMM).  <= 0 = auto: COLLOM_BUILD_THREADS, else
   /// COLLOM_SIM_THREADS, else hardware concurrency (sparse::Threads).  The
   /// built hierarchy is bit-identical for every width, so this knob is
-  /// wall-time-only and never part of a hierarchy's identity (the
-  /// harness::HierarchyCache key and operator== both ignore it).
+  /// wall-time-only and never part of a hierarchy's identity (operator==
+  /// ignores it).
   int threads = 0;
 
   /// Identity comparison: every field that shapes the built hierarchy —

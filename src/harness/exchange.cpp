@@ -1,7 +1,5 @@
 #include "harness/exchange.hpp"
 
-#include <numeric>
-
 #include "simmpi/dist_graph.hpp"
 #include "util/hash.hpp"
 
@@ -26,7 +24,6 @@ namespace {
 
 using simmpi::Comm;
 using simmpi::Context;
-using simmpi::Request;
 using simmpi::Task;
 
 /// Shared bookkeeping: owned buffers + gather list.
@@ -81,60 +78,8 @@ struct Buffers {
   }
 };
 
-/// Hypre-style persistent point-to-point exchange (no topology object).
-class HypreExchange final : public HaloExchange {
- public:
-  HypreExchange(Context& ctx, Comm comm, const sparse::RankHalo& halo)
-      : buf_(halo) {
-    const int tag = ctx.engine().next_coll_tag(comm);
-    const auto& machine = ctx.engine().machine();
-    const int my_region = machine.region_of(comm.global(comm.rank()));
-    for (std::size_t i = 0; i < buf_.destinations.size(); ++i) {
-      auto seg = std::span<const double>(buf_.sendbuf)
-                     .subspan(buf_.sdispls[i], buf_.sendcounts[i]);
-      sends_.push_back(Request::send(comm, std::as_bytes(seg),
-                                     buf_.destinations[i], tag));
-      const bool global =
-          machine.region_of(comm.global(buf_.destinations[i])) != my_region;
-      if (global) {
-        ++stats_.global_msgs;
-        stats_.global_values += buf_.sendcounts[i];
-        stats_.max_global_msg_values =
-            std::max(stats_.max_global_msg_values,
-                     static_cast<long>(buf_.sendcounts[i]));
-      } else {
-        ++stats_.local_msgs;
-        stats_.local_values += buf_.sendcounts[i];
-      }
-    }
-    for (std::size_t i = 0; i < buf_.sources.size(); ++i) {
-      auto seg = std::span<double>(buf_.xext).subspan(buf_.rdispls[i],
-                                                      buf_.recvcounts[i]);
-      recvs_.push_back(Request::recv(comm, std::as_writable_bytes(seg),
-                                     buf_.sources[i], tag));
-    }
-  }
-
-  Task<> start(Context& ctx, std::span<const double> x_local) override {
-    buf_.gather(x_local);
-    for (auto& s : sends_) s.start(ctx);
-    for (auto& r : recvs_) r.start(ctx);
-    co_return;
-  }
-  Task<> wait(Context& ctx) override {
-    for (auto& s : sends_) co_await ctx.wait(s);
-    for (auto& r : recvs_) co_await ctx.wait(r);
-  }
-  std::span<const double> x_ext() const override { return buf_.xext; }
-  mpix::NeighborStats stats() const override { return stats_; }
-
- private:
-  Buffers buf_;
-  std::vector<Request> sends_, recvs_;
-  mpix::NeighborStats stats_;
-};
-
-/// Any mpix neighbor collective behind the same interface.
+/// Any mpix neighbor collective behind the same interface (`hypre` too: it
+/// is the standard method over a graph that was never created collectively).
 class NeighborExchange final : public HaloExchange {
  public:
   NeighborExchange(Buffers buf, simmpi::DistGraph graph,
@@ -239,27 +184,32 @@ std::uint64_t pattern_fingerprint(const sparse::Halo& halo) {
 Task<std::unique_ptr<HaloExchange>> make_halo_exchange(
     Context& ctx, Comm comm, Protocol protocol, const sparse::RankHalo& halo,
     const ExchangeOptions& opts) {
-  if (protocol == Protocol::hypre)
-    co_return std::make_unique<HypreExchange>(ctx, comm, halo);
-
   // Neighbor collectives bind spans into the Buffers vectors at init.
   // Moving `Buffers` afterwards is safe: vector moves transfer the heap
   // storage the spans point into.
   auto buf = std::make_unique<Buffers>(halo);
-  const mpix::Method method = method_of(protocol);
+  simmpi::DistGraph graph;
+  mpix::Method method = mpix::Method::standard;
   mpix::Options mopts{.lpt_balance = opts.lpt_balance};
-
-  const bool cacheable = opts.plans && mpix::uses_locality(method);
+  const bool cacheable = opts.plans && uses_locality(protocol);
   std::uint64_t key = 0;
   std::shared_ptr<const mpix::LocalityPlan> cached;  // keeps the plan alive
-  if (cacheable) {
-    key = cache_key(opts.pattern_key, method, opts.lpt_balance, comm);
-    cached = opts.plans->find(key, comm.rank());
-    mopts.plan = cached.get();
-  }
 
-  simmpi::DistGraph graph = co_await simmpi::dist_graph_create_adjacent(
-      ctx, comm, buf->sources, buf->destinations, opts.graph_algo);
+  if (protocol == Protocol::hypre) {
+    // Hypre's comm pkg: the standard method's persistent sends and
+    // receives over the adjacency the halo already lists, on `comm`
+    // itself; no topology is created.
+    graph = simmpi::DistGraph{comm, buf->sources, buf->destinations};
+  } else {
+    method = method_of(protocol);
+    if (cacheable) {
+      key = cache_key(opts.pattern_key, method, opts.lpt_balance, comm);
+      cached = opts.plans->find(key, comm.rank());
+      mopts.plan = cached.get();
+    }
+    graph = co_await simmpi::dist_graph_create_adjacent(
+        ctx, comm, buf->sources, buf->destinations, opts.graph_algo);
+  }
   std::unique_ptr<mpix::NeighborAlltoallv> coll =
       co_await mpix::neighbor_alltoallv_init(ctx, graph, buf->args(), method,
                                              mopts);

@@ -9,7 +9,9 @@
 ///
 /// The three neighbor protocols map 1:1 onto `mpix::Method`
 /// (`method_of`/`protocol_of`); the dispatch lives entirely in
-/// `mpix::neighbor_alltoallv_init`.
+/// `mpix::neighbor_alltoallv_init`.  `hypre` runs `Method::standard` over a
+/// graph assembled from the halo's own adjacency, so it sends the same
+/// messages as `neighbor_standard` but pays no topology creation.
 ///
 /// Every backend owns its gathered send buffer and its external-vector
 /// receive buffer (`x_ext`, laid out as col_map_offd), so the SpMV code is

@@ -9,11 +9,11 @@
 /// so a single simulated execution is exact; reported times are the
 /// maximum rank-local elapsed virtual time.
 ///
-/// Two caches amortize repeated runs: `MeasureConfig::plans` (locality
-/// setup per halo pattern, see harness::PlanCache) and the process/disk
-/// `paper_dist_hierarchy` memoization backed by harness::HierarchyCache,
-/// which spares every bench binary after the first from re-running the
-/// paper problem's coarsening.
+/// Two caches amortize repeated runs within a process:
+/// `MeasureConfig::plans` (locality setup per halo pattern, see
+/// harness::PlanCache) and the single-entry `paper_hierarchy` /
+/// `paper_dist_hierarchy` memos, which spare a sweep over one instance
+/// from rebuilding or redistributing the paper problem at every point.
 
 #include <vector>
 
@@ -197,8 +197,7 @@ int crossover_iterations(double base_init, double base_iter, double opt_init,
 const amg::Hierarchy& paper_hierarchy(long rows, int build_threads = 0);
 
 /// Distribution of the paper hierarchy over `nranks`, memoized in a single
-/// entry keyed by (rows, nranks) and backed by the HierarchyCache disk
-/// cache.
+/// entry keyed by (rows, nranks).
 const amg::DistHierarchy& paper_dist_hierarchy(long rows, int nranks,
                                                int build_threads = 0);
 

@@ -34,12 +34,7 @@ const char* to_string(AlltoallMethod m) {
   throw SimError("mpix::to_string: invalid AlltoallMethod");
 }
 
-namespace {
-
-/// The dense adjacency: every rank is both source and destination (self
-/// included), in comm-rank order — the neighbor machinery then applies
-/// unchanged, with counts arrays indexed by comm rank.
-simmpi::DistGraph dense_graph(const simmpi::Comm& comm) {
+simmpi::DistGraph impl::dense_graph(const simmpi::Comm& comm) {
   simmpi::DistGraph g;
   g.comm = comm;
   g.destinations.resize(static_cast<std::size_t>(comm.size()));
@@ -47,6 +42,8 @@ simmpi::DistGraph dense_graph(const simmpi::Comm& comm) {
   g.sources = g.destinations;
   return g;
 }
+
+namespace {
 
 /// Renames an inner collective so stats and measurement report the dense
 /// method name instead of the neighbor building block it reuses.
@@ -97,7 +94,7 @@ std::shared_ptr<const BruckPlan> require_bruck_plan(const PlanBase* p) {
 Task<std::unique_ptr<NeighborAlltoallv>> dense_init_impl(
     Context& ctx, simmpi::Comm comm, AlltoallvArgs args, AlltoallMethod method,
     Options opts) {
-  const simmpi::DistGraph graph = dense_graph(comm);
+  const simmpi::DistGraph graph = impl::dense_graph(comm);
   switch (method) {
     case AlltoallMethod::standard: {
       if (opts.plan)
@@ -137,7 +134,7 @@ Task<std::shared_ptr<const PlanBase>> dense_plan_impl(Context& ctx,
                                                       AlltoallMethod method,
                                                       Options opts) {
   if (method == AlltoallMethod::node_aggregated) {
-    const simmpi::DistGraph graph = dense_graph(comm);
+    const simmpi::DistGraph graph = impl::dense_graph(comm);
     co_return co_await impl::build_locality_plan(ctx, graph, std::move(args),
                                                  Method::locality,
                                                  std::move(opts));

@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,15 +54,6 @@ using simmpi::Context;
 using simmpi::Request;
 using simmpi::SimError;
 using simmpi::Task;
-
-simmpi::DistGraph dense_graph_of(const Comm& comm) {
-  simmpi::DistGraph g;
-  g.comm = comm;
-  g.destinations.resize(static_cast<std::size_t>(comm.size()));
-  std::iota(g.destinations.begin(), g.destinations.end(), 0);
-  g.sources = g.destinations;
-  return g;
-}
 
 /// Apply value-run copies, scaling by the element size.
 void copy_runs(std::span<const std::byte> from, std::span<std::byte> to,
@@ -218,7 +208,7 @@ void validate_bruck_args(const BruckPlan& plan, const Comm& comm,
 Task<std::shared_ptr<const BruckPlan>> impl::build_bruck_plan(
     Context& ctx, Comm comm, AlltoallvArgs args, Options opts) {
   {
-    const simmpi::DistGraph graph = dense_graph_of(comm);
+    const simmpi::DistGraph graph = impl::dense_graph(comm);
     detail::validate_args(graph, args, /*need_idx=*/false);
   }
   const auto& machine = ctx.engine().machine();
@@ -588,7 +578,7 @@ std::unique_ptr<NeighborAlltoallv> impl::bind_bruck(
     Context& ctx, Comm comm, AlltoallvArgs args,
     std::shared_ptr<const BruckPlan> plan, const Options& opts) {
   {
-    const simmpi::DistGraph graph = dense_graph_of(comm);
+    const simmpi::DistGraph graph = impl::dense_graph(comm);
     detail::validate_args(graph, args, /*need_idx=*/false);
   }
   if (opts.reliability.enabled) impl::validate_reliability(opts.reliability);

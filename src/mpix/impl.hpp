@@ -10,6 +10,11 @@
 
 namespace mpix::impl {
 
+/// The dense adjacency: every rank is both source and destination (self
+/// included), in comm-rank order — the neighbor machinery then applies
+/// unchanged, with counts arrays indexed by comm rank (alltoall.cpp).
+simmpi::DistGraph dense_graph(const simmpi::Comm& comm);
+
 /// Coroutine behind the public `make_locality_plan` wrapper.  Takes the
 /// pattern by value so the frame owns it for the plan build's lifetime.
 ///

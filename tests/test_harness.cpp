@@ -104,9 +104,14 @@ TEST(Measure, HypreAndStandardNeighborSendIdenticalMessages) {
   auto dh = small_dist(8);
   auto hyp = measure_protocol(dh, Protocol::hypre, small_cfg());
   auto stn = measure_protocol(dh, Protocol::neighbor_standard, small_cfg());
+  ASSERT_EQ(hyp.size(), stn.size());
   for (std::size_t l = 0; l < hyp.size(); ++l) {
     EXPECT_EQ(hyp[l].max_global_msgs, stn[l].max_global_msgs);
     EXPECT_EQ(hyp[l].max_local_msgs, stn[l].max_local_msgs);
+    // Same persistent sends and receives in the same order: only the
+    // topology creation (init) differs, never the exchange itself.
+    EXPECT_EQ(hyp[l].start_wait_seconds, stn[l].start_wait_seconds)
+        << "level " << l;
   }
 }
 

@@ -2,16 +2,13 @@
 /// \brief The determinism contract of the two-phase sparse kernels and of
 /// hierarchy construction: every `sparse::Threads` width produces
 /// byte-identical output — rowptr/colind/vals of each kernel, deep-equal
-/// hierarchies, and identical HierarchyCache files (see
+/// hierarchies, and deep-equal distributed hierarchies (see
 /// docs/ARCHITECTURE.md, "Parallel construction").
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "amg/coarsen.hpp"
@@ -19,13 +16,11 @@
 #include "amg/hierarchy.hpp"
 #include "amg/interp.hpp"
 #include "amg/strength.hpp"
-#include "harness/hierarchy_cache.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/par_csr.hpp"
 #include "sparse/partition.hpp"
 #include "sparse/stencil.hpp"
 
-namespace fs = std::filesystem;
 using sparse::Csr;
 using sparse::Threads;
 
@@ -147,36 +142,20 @@ TEST(SparseThreads, HierarchyBuildDeepEqualAcrossWidths) {
   }
 }
 
-TEST(SparseThreads, HierarchyCacheFilesIdenticalAcrossWidths) {
-  // The strongest end-to-end form of the contract: build + distribute +
-  // serialize at every width and compare the cache files byte-for-byte
-  // (the stored payload checksum is part of the file, so matching files
-  // imply matching checksums).
+TEST(SparseThreads, DistHierarchyDeepEqualAcrossWidths) {
+  // The end-to-end form of the contract: build + distribute at every width
+  // and compare every rank's diag/offd slices and halo of every level.
   const Csr a = sparse::paper_problem(32, 16);
-  const harness::HierarchyCache::Key key{a.rows(), 4, amg::Options{}};
-  auto file_bytes = [&](int width) {
+  auto dist_at = [&](int width) {
     amg::Options opts;
     opts.threads = width;
-    const amg::DistHierarchy dh =
-        amg::distribute_hierarchy(amg::Hierarchy::build(a, opts), 4);
-    const fs::path dir = fs::temp_directory_path() /
-                         ("sparse-threads-cache-" + std::to_string(::getpid()) +
-                          "-w" + std::to_string(width));
-    fs::create_directories(dir);
-    harness::HierarchyCache cache(dir);
-    EXPECT_TRUE(cache.store(key, dh));
-    std::ifstream in(cache.path_of(key), std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    return bytes;
+    return amg::distribute_hierarchy(amg::Hierarchy::build(a, opts), 4);
   };
-  const std::vector<char> base = file_bytes(1);
-  ASSERT_FALSE(base.empty());
+  const amg::DistHierarchy base = dist_at(1);
+  ASSERT_GE(base.num_levels(), 2);
   for (int w : kWidths)
-    EXPECT_EQ(file_bytes(w), base)
-        << "cache file (checksummed payload) diverged at width " << w;
+    EXPECT_TRUE(dist_at(w) == base)
+        << "distributed hierarchy diverged at width " << w;
 }
 
 namespace {
